@@ -12,11 +12,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bioshares import Method, run_batch
+from bioshares import MetricsReport, Method, run_batch
+from bioshares.cli import IDEAL_ROW
 from bioshares.images import REVERSE8
+from bioshares.metrics import format_measure
 
-COLUMNS = ("cr", "mse", "rmse", "mae", "psnr", "ssim", "npcr", "uaci")
-IDEAL = ("1.00", "0", "0", "0", "inf", "1.00", "0", "0")
+
+def _row(label: str, cells) -> str:
+    return f"{label:<8}" + "".join(f"{c:>12}" for c in cells)
 
 
 def main() -> int:
@@ -27,9 +30,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    header = f"{'method':<8}" + "".join(f"{c:>10}" for c in COLUMNS)
-    print(header)
-    print(f"{'ideal':<8}" + "".join(f"{v:>10}" for v in IDEAL))
+    print(_row("method", MetricsReport.FIELDS))
+    print(_row("ideal", (IDEAL_ROW[name] for name in MetricsReport.FIELDS)))
     for method in Method:
         _, report = run_batch(
             root=args.corpus,
@@ -39,18 +41,8 @@ def main() -> int:
             master_seed=args.seed,
             transform=REVERSE8,
         )
-        m = report.metrics
-        cells = [
-            f"{m.cr:.4f}" if m.cr is not None else "n/a",
-            f"{m.mse:.1f}",
-            f"{m.rmse:.2f}",
-            f"{m.mae:.2f}",
-            f"{m.psnr:.3f}",
-            f"{m.ssim:.4f}",
-            f"{m.npcr:.2f}",
-            f"{m.uaci:.2f}",
-        ]
-        print(f"{method.value:<8}" + "".join(f"{c:>10}" for c in cells))
+        cells = (format_measure(getattr(report.metrics, name)) for name in MetricsReport.FIELDS)
+        print(_row(method.value, cells))
     return 0
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Sequence
 from .codecs import BmpError, PgmError, load_image_file
 from .datasets import EmptyCorpusError, corpus_paths
 from .images import BitTransform
-from .metrics import MetricsReport, mean_reports, report_all
+from .metrics import MetricsReport, format_measure, mean_reports, report_all
 from .prng import mix_seed, seed_sequence
 from .scheme import Method, SchemeParams, generate_shares, seed_count
 
@@ -85,8 +84,6 @@ def run_batch(
     n: int,
     master_seed: int,
     transform: BitTransform,
-    dataset_label: str | None = None,
-    log=sys.stderr,
 ) -> tuple[list[BatchRow], CorpusReport]:
     """Enroll and evaluate every image under `root`; see module docstring."""
     root = Path(root)
@@ -103,13 +100,11 @@ def run_batch(
             original = load_image_file(path)
         except (PgmError, BmpError, OSError) as exc:
             skipped += 1
-            if log is not None:
-                print(f"skipping {rel}: {exc}", file=log)
+            print(f"skipping {rel}: {exc}", file=sys.stderr)
             continue
         if original.pixel_count < 2:
             skipped += 1
-            if log is not None:
-                print(f"skipping {rel}: degenerate {original.width}x{original.height} image", file=log)
+            print(f"skipping {rel}: degenerate {original.width}x{original.height} image", file=sys.stderr)
             continue
         params = SchemeParams(
             method=method,
@@ -124,11 +119,11 @@ def run_batch(
 
     if not rows:
         raise EmptyCorpusError(f"no decodable images under {root} ({skipped} skipped)")
-    if log is not None and skipped:
-        print(f"skipped {skipped} unreadable/undecodable files", file=log)
+    if skipped:
+        print(f"skipped {skipped} unreadable/undecodable files", file=sys.stderr)
 
     report = CorpusReport(
-        dataset=dataset_label or root.name,
+        dataset=root.name,
         method=method,
         n=n,
         bit_transform=transform,
@@ -142,14 +137,6 @@ def run_batch(
     return rows, report
 
 
-def _csv_value(value: float | None) -> str:
-    if value is None:
-        return "n/a"
-    if math.isinf(value):
-        return "inf"
-    return f"{value:.6f}"
-
-
 def format_csv(rows: Sequence[BatchRow]) -> str:
     """Fixed-header CSV, one row per image, metrics averaged over its shares."""
     out = io.StringIO()
@@ -159,7 +146,7 @@ def format_csv(rows: Sequence[BatchRow]) -> str:
         m = row.metrics
         writer.writerow(
             [str(row.index), row.path]
-            + [_csv_value(getattr(m, name)) for name in MetricsReport.FIELDS]
+            + [format_measure(getattr(m, name), 6) for name in MetricsReport.FIELDS]
         )
     return out.getvalue()
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import secrets
 import sys
 from pathlib import Path
@@ -26,7 +25,7 @@ from .manifest import (
     pixel_digest,
     save_manifest,
 )
-from .metrics import MetricsReport, mean_reports, report_all
+from .metrics import MetricsReport, format_measure, mean_reports, report_all
 from .prng import SEED_MAX, seed_sequence
 from .scheme import (
     Method,
@@ -241,13 +240,7 @@ def cmd_authenticate(args) -> int:
 def _format_table(report: MetricsReport) -> str:
     lines = [f"{'measure':<8} {'value':>14} {'ideal':>8}"]
     for name in MetricsReport.FIELDS:
-        value = getattr(report, name)
-        if value is None:
-            text = "n/a"
-        elif isinstance(value, float) and math.isinf(value):
-            text = "inf"
-        else:
-            text = f"{value:.4f}"
+        text = format_measure(getattr(report, name))
         lines.append(f"{name:<8} {text:>14} {IDEAL_ROW[name]:>8}")
     return "\n".join(lines)
 

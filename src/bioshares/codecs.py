@@ -93,6 +93,8 @@ def load_pgm(data: bytes) -> GrayImage:
                 )
         return GrayImage(width, height, pixels)
 
+    if need > (len(data) - pos) // 2:  # each value takes a separator and a digit
+        raise PgmError(f"truncated pixel payload: header asks for {need} values", offset=len(data))
     values = np.empty(need, dtype=np.uint8)
     for i in range(need):
         try:

@@ -5,7 +5,6 @@ pipeline is built from: element-wise XOR and reversible 8-bit transforms
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -125,14 +124,11 @@ _REVERSE_LUT = np.array([int(f"{v:08b}"[::-1], 2) for v in range(256)], dtype=np
 _REVERSE_LUT.setflags(write=False)
 
 
-@lru_cache(maxsize=None)
-def _rotate_lut(k: int, direction: str) -> np.ndarray:
-    if direction == "right":
-        k = 8 - k
-    v = np.arange(256, dtype=np.uint16)
-    lut = (((v << k) | (v >> (8 - k))) & 0xFF).astype(np.uint8)
-    lut.setflags(write=False)
-    return lut
+# row k rotates each byte left by k bits; rotating right by k is row 8 - k
+_ROTATE_LUTS = np.array(
+    [[((v << k) | (v >> (8 - k))) & 0xFF for v in range(256)] for k in range(8)], dtype=np.uint8
+)
+_ROTATE_LUTS.setflags(write=False)
 
 
 def transform_lut(transform: BitTransform, direction: str = "left") -> np.ndarray:
@@ -141,7 +137,7 @@ def transform_lut(transform: BitTransform, direction: str = "left") -> np.ndarra
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
     if transform.kind == "reverse8":
         return _REVERSE_LUT
-    return _rotate_lut(transform.k, direction)
+    return _ROTATE_LUTS[transform.k if direction == "left" else 8 - transform.k]
 
 
 def bit_transform(

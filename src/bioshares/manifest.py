@@ -78,21 +78,39 @@ class EnrollmentManifest:
     @classmethod
     def from_json(cls, text: str) -> "EnrollmentManifest":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"manifest must be a JSON object, got {type(doc).__name__}")
         if doc.get("schema") != MANIFEST_SCHEMA:
             raise ValueError(f"unsupported manifest schema {doc.get('schema')!r}")
         if doc.get("digest_algorithm") != DIGEST_ALGORITHM:
             raise ValueError(f"unsupported digest algorithm {doc.get('digest_algorithm')!r}")
+        doc.setdefault("cover_sources", [])
+
+        def field(name: str, parse=_text):
+            if name not in doc:
+                raise ValueError(f"manifest field {name!r} is missing")
+            try:
+                return parse(doc[name])
+            except (TypeError, ValueError, LookupError, OverflowError) as exc:
+                raise ValueError(f"manifest field {name!r} is invalid: {exc}") from None
+
         return cls(
-            user_id=doc["user_id"],
-            method=Method(doc["method"]),
-            n=int(doc["n"]),
-            bit_transform=BitTransform.parse(doc["bit_transform"]),
-            seeds=tuple(int(s) for s in doc["seeds"]),
-            dims=(int(doc["dims"][0]), int(doc["dims"][1])),
-            share_files=tuple(doc["share_files"]),
-            content_digests=tuple(doc["content_digests"]),
-            cover_sources=tuple(doc.get("cover_sources", ())),
+            user_id=field("user_id"),
+            method=field("method", Method),
+            n=field("n", int),
+            bit_transform=field("bit_transform", lambda v: BitTransform.parse(_text(v))),
+            seeds=field("seeds", lambda v: tuple(int(s) for s in v)),
+            dims=field("dims", lambda v: (int(v[0]), int(v[1]))),
+            share_files=field("share_files", lambda v: tuple(map(_text, v))),
+            content_digests=field("content_digests", tuple),
+            cover_sources=field("cover_sources", tuple),
         )
+
+
+def _text(value: object) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
 
 
 def save_manifest(manifest: EnrollmentManifest, path: str | Path) -> None:

@@ -183,3 +183,8 @@ def mean_reports(reports: Sequence[MetricsReport]) -> MetricsReport:
         npcr=avg("npcr"),
         uaci=avg("uaci"),
     )
+
+
+def format_measure(value: float | None, digits: int = 4) -> str:
+    """Report cell for one measure: n/a when undefined; infinite PSNR prints as inf."""
+    return "n/a" if value is None else f"{value:.{digits}f}"

@@ -9,7 +9,6 @@ choosing new seeds; without the seed the permutation cannot be undone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,29 +30,24 @@ class PermutationKey:
             raise ValueError(f"permutation length must be positive, got {self.length}")
 
 
-@lru_cache(maxsize=256)
-def _derive(seed: int, length: int) -> np.ndarray:
-    if length == 1:
-        out = np.zeros(1, dtype=np.int64)
-        out.setflags(write=False)
-        return out
+def derive_permutation(key: PermutationKey) -> np.ndarray:
+    """The bijection selected by the key, as a read-only int64 index array.
+
+    Nothing is memoised: the array is key material and lives only as long as
+    its caller keeps it.
+    """
     # Fisher-Yates, descending: at step i swap with j = draw mod (i + 1)
-    draws = splitmix64(seed, length - 1)
+    length = key.length
+    draws = splitmix64(key.seed, length - 1)
     bounds = np.arange(length, 1, -1, dtype=np.uint64)
-    js = (draws % bounds).tolist()
     perm = list(range(length))
     i = length - 1
-    for j in js:
+    for j in (draws % bounds).tolist():
         perm[i], perm[j] = perm[j], perm[i]
         i -= 1
     out = np.asarray(perm, dtype=np.int64)
     out.setflags(write=False)
     return out
-
-
-def derive_permutation(key: PermutationKey) -> np.ndarray:
-    """The bijection selected by the key, as a read-only index array."""
-    return _derive(key.seed, key.length)
 
 
 def _require_length(img: GrayImage, key: PermutationKey) -> None:

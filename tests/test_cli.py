@@ -118,6 +118,13 @@ class TestEnroll:
         bad.write_bytes(b"P5\n4 4\n255\n\x00")  # truncated
         assert run(["enroll", bad, "--out", tmp_path]) == 5
 
+    def test_oversized_p2_header_is_format_error(self, tmp_path, capsys):
+        # the header asks for 10**12 pixels; nothing that size may be allocated
+        path = tmp_path / "huge.pgm"
+        path.write_bytes(b"P2\n1000000 1000000\n255\n1 2 3\n")
+        assert run(["enroll", path, "--out", tmp_path / "out"]) == 5
+        assert "truncated pixel payload" in capsys.readouterr().err
+
     def test_unknown_flag_exits_two(self, tmp_path, original):
         _, path = original
         with pytest.raises(SystemExit) as err:
@@ -177,6 +184,23 @@ class TestAuthenticate:
     def test_seed_override_with_wrong_count_is_usage_error(self, tmp_path, enrolled):
         _, manifest_path, _ = enrolled
         assert run(["authenticate", manifest_path, "--seeds", "1,2"]) == 2
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: {k: v for k, v in doc.items() if k != "user_id"}, "'user_id' is missing"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "dims"}, "'dims' is missing"),
+            (lambda doc: {**doc, "dims": [16]}, "'dims' is invalid"),
+            (lambda doc: [doc], "must be a JSON object"),
+        ],
+        ids=["no-user-id", "no-dims", "one-dim", "top-level-array"],
+    )
+    def test_malformed_manifest_is_format_error(self, tmp_path, enrolled, capsys, edit, message):
+        _, manifest_path, _ = enrolled
+        manifest_path.write_text(json.dumps(edit(json.loads(manifest_path.read_text()))))
+        assert run(["authenticate", manifest_path, "--out", tmp_path / "rec"]) == 5
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
 
 
 class TestEvaluate:
@@ -271,6 +295,9 @@ class TestBatch:
         doc = json.loads(report.read_text())
         assert doc["skipped"] == 1
         assert doc["images"] == 6
+        err = capsys.readouterr().err
+        assert "skipping broken.pgm: truncated pixel payload" in err
+        assert "skipped 1 unreadable/undecodable files\n" in err
 
     def test_empty_corpus_is_io_error(self, tmp_path):
         empty = tmp_path / "empty"

@@ -37,6 +37,15 @@ class TestPgmReader:
         with pytest.raises(PgmError, match="truncated pixel payload"):
             load_pgm(b"P2 2 2 255 0 1 2")
 
+    def test_p2_pixel_count_bounded_by_payload(self):
+        # 10**12 pixels announced, 7 payload bytes: rejected before allocating
+        data = b"P2\n1000000 1000000\n255\n1 2 3\n"
+        with pytest.raises(PgmError, match="header asks for 1000000000000 values") as err:
+            load_pgm(data)
+        assert err.value.offset == len(data)
+        # the densest payload, one separator and one digit per value, still decodes
+        assert load_pgm(b"P2 3 1 9 1 2 3") == GrayImage(3, 1, [1, 2, 3])
+
     def test_comments_tolerated(self):
         img = load_pgm(b"P2 # comment\n# another full line\n2 1 # maxval next\n255\n3 4")
         assert img == GrayImage(2, 1, [3, 4])
