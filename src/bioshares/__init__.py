@@ -35,6 +35,7 @@ from .manifest import (
     load_manifest,
     load_share_set,
     pixel_digest,
+    save_enrollment,
     save_manifest,
 )
 from .metrics import (

@@ -8,6 +8,7 @@ problems.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import secrets
 import sys
@@ -17,14 +18,7 @@ from .batch import run_batch, write_batch_csv
 from .codecs import BmpError, PgmError, load_image_file, write_pgm_file
 from .datasets import DATASET_KINDS, EmptyCorpusError
 from .images import BitTransform, DimensionMismatchError
-from .manifest import (
-    EnrollmentManifest,
-    IntegrityError,
-    load_manifest,
-    load_share_set,
-    pixel_digest,
-    save_manifest,
-)
+from .manifest import IntegrityError, load_manifest, load_share_set, save_enrollment
 from .metrics import MetricsReport, format_measure, mean_reports, report_all
 from .prng import SEED_MAX, seed_sequence
 from .scheme import (
@@ -43,6 +37,8 @@ EXIT_INTEGRITY = 4
 EXIT_FORMAT = 5
 
 EVALUATE_SCHEMA = 1
+
+MAX_SHARES = 64
 
 IDEAL_ROW = {
     "cr": "1.0", "mse": "0.0", "rmse": "0.0", "mae": "0.0",
@@ -90,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enroll.add_argument("--out", type=Path, default=Path("."), help="output directory")
     p_enroll.add_argument("--user", default=None, help="user id (default: input file stem)")
     p_enroll.add_argument("--method", choices=[m.value for m in Method], default="m3")
-    p_enroll.add_argument("--shares", type=int, default=4, metavar="N", help="share count n (>= 2)")
+    p_enroll.add_argument("--shares", type=int, default=4, metavar="N",
+                          help=f"share count n (2..{MAX_SHARES})")
     p_enroll.add_argument("--seed", type=_u64, default=None, metavar="U64",
                           help="master seed; per-slot seeds derive from it")
     p_enroll.add_argument("--seeds", type=_seed_list, default=None, metavar="LIST",
@@ -135,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _require_n(n: int) -> None:
-    if n < 2:
-        raise UsageError(f"--shares must be at least 2, got {n}")
+    if not 2 <= n <= MAX_SHARES:
+        raise UsageError(f"--shares must be between 2 and {MAX_SHARES}, got {n}")
 
 
 def _resolve_seeds(args, method: Method, n: int, have_covers: bool) -> tuple[int, ...]:
@@ -162,11 +159,6 @@ def cmd_enroll(args) -> int:
     original = load_image_file(args.input)
 
     covers = [load_image_file(p) for p in args.cover]
-    if covers and method is not Method.M1:
-        raise UsageError("--cover applies to method m1 only")
-    if covers and len(covers) != args.shares - 1:
-        raise UsageError(f"method m1 needs {args.shares - 1} covers, got {len(covers)}")
-
     seeds = _resolve_seeds(args, method, args.shares, bool(covers))
     try:
         params = SchemeParams(
@@ -174,43 +166,39 @@ def cmd_enroll(args) -> int:
             n=args.shares,
             bit_transform=args.bit_transform,
             seeds=seeds,
-            cover_sources=tuple(str(p) for p in args.cover),
+            cover_sources=tuple(args.cover),
         )
         share_set = generate_shares(original, params, covers or None)
+        manifest_path = save_enrollment(share_set, user, args.out)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-    args.out.mkdir(parents=True, exist_ok=True)
-    share_files = []
-    digests = []
-    for i, share in enumerate(share_set.shares, start=1):
-        name = f"{user}_share_{i}.pgm"
-        write_pgm_file(share, args.out / name)
-        share_files.append(name)
-        digests.append(pixel_digest(share))
-    manifest = EnrollmentManifest(
-        user_id=user,
-        method=method,
-        n=args.shares,
-        bit_transform=args.bit_transform,
-        seeds=seeds,
-        dims=original.dims,
-        share_files=tuple(share_files),
-        content_digests=tuple(digests),
-        cover_sources=tuple(str(p) for p in args.cover),
-    )
-    manifest_path = args.out / f"{user}_manifest.json"
-    save_manifest(manifest, manifest_path)
     print(f"enrolled {user}: {args.shares} shares ({method.value}, "
           f"{original.width}x{original.height}) -> {manifest_path}")
     return EXIT_OK
 
 
-def cmd_authenticate(args) -> int:
+def _load_enrollment(args):
+    """The manifest named on the command line and its digest-checked shares."""
     manifest = load_manifest(args.manifest)
-    share_dir = args.share_dir or args.manifest.parent
-    out_dir = args.out or share_dir
-    share_set = load_share_set(manifest, share_dir)
+    return manifest, load_share_set(manifest, args.share_dir or args.manifest.parent)
+
+
+def _write_report(path: Path | None, doc: dict) -> None:
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
+def cmd_authenticate(args) -> int:
+    manifest, share_set = _load_enrollment(args)
+    out_dir = args.out or args.share_dir or args.manifest.parent
+    seeds = args.seeds if args.seeds is not None else manifest.params.seeds
+    reveal_params = None
+    if manifest.params.method is Method.M3 and seeds:
+        try:
+            reveal_params = dataclasses.replace(manifest.params, seeds=seeds)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     result = authenticate(share_set)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -220,18 +208,8 @@ def cmd_authenticate(args) -> int:
         write_pgm_file(cover, out_dir / f"{user}_reconstructed_cover_{i}.pgm")
     print(f"digests verified; reconstructed secret and {len(result.covers)} covers -> {out_dir}")
 
-    seeds = args.seeds if args.seeds is not None else manifest.seeds
-    if manifest.method is Method.M3 and seeds:
-        try:
-            params = SchemeParams(
-                method=manifest.method,
-                n=manifest.n,
-                bit_transform=manifest.bit_transform,
-                seeds=seeds,
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        revealed = reveal_original(result, params)
+    if reveal_params is not None:
+        revealed = reveal_original(result, reveal_params)
         write_pgm_file(revealed, out_dir / f"{user}_revealed_original.pgm")
         print(f"revealed original -> {out_dir / (user + '_revealed_original.pgm')}")
     return EXIT_OK
@@ -247,9 +225,7 @@ def _format_table(report: MetricsReport) -> str:
 
 def cmd_evaluate(args) -> int:
     original = load_image_file(args.original)
-    manifest = load_manifest(args.manifest)
-    share_dir = args.share_dir or args.manifest.parent
-    share_set = load_share_set(manifest, share_dir)
+    manifest, share_set = _load_enrollment(args)
     reports = [report_all(original, share) for share in share_set.shares]
     averaged = mean_reports(reports)
 
@@ -263,9 +239,8 @@ def cmd_evaluate(args) -> int:
         "metrics": averaged.to_dict(),
         "per_share": [r.to_dict() for r in reports],
     }
+    _write_report(args.report, doc)
     if args.report is not None:
-        args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         print(f"report -> {args.report}")
     return EXIT_OK
 
@@ -282,9 +257,7 @@ def cmd_batch(args) -> int:
     )
     doc = report.to_dict()
     print(json.dumps(doc, indent=2))
-    if args.report is not None:
-        args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    _write_report(args.report, doc)
     csv_path = args.csv
     if csv_path is None and args.report is not None:
         csv_path = args.report.with_suffix(".csv")

@@ -1,5 +1,11 @@
-"""Enrollment manifests: the JSON record binding a user id to share files,
-seeds and pixel digests, plus integrity-checked loading of the share set."""
+"""The enrollment store: the JSON manifest binding a user id to its share
+files, scheme parameters and pixel digests, the one writer that lays an
+enrollment out on disk, and the digest-checked reader of the share set.
+
+Store layout under one directory: `<user>_share_<i>.pgm` for i = 1..n and
+`<user>_manifest.json`. Every name in a manifest is a plain file name, so a
+manifest can only refer to files inside its own share directory.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .codecs import PgmError, load_pgm
+from .codecs import PgmError, load_pgm, write_pgm_file
 from .images import BitTransform, GrayImage
 from .scheme import Method, SchemeParams, ShareSet
 
@@ -28,50 +34,40 @@ def pixel_digest(img: GrayImage) -> str:
 @dataclass(frozen=True)
 class EnrollmentManifest:
     user_id: str
-    method: Method
-    n: int
-    bit_transform: BitTransform
-    seeds: tuple[int, ...]
+    params: SchemeParams
     dims: tuple[int, int]
     share_files: tuple[str, ...]
     content_digests: tuple[str, ...]
-    cover_sources: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "dims", tuple(self.dims))
         object.__setattr__(self, "share_files", tuple(self.share_files))
         object.__setattr__(self, "content_digests", tuple(self.content_digests))
-        object.__setattr__(self, "cover_sources", tuple(self.cover_sources))
-        if len(self.share_files) != self.n or len(self.content_digests) != self.n:
+        _require_plain_name("user_id", self.user_id)
+        for name in self.share_files:
+            _require_plain_name("share_files", name)
+        if len(self.dims) != 2 or min(self.dims) < 1:
+            raise ValueError(f"dims must be two positive sizes, got {list(self.dims)}")
+        n = self.params.n
+        if len(self.share_files) != n or len(self.content_digests) != n:
             raise ValueError(
                 f"manifest lists {len(self.share_files)} share files and "
-                f"{len(self.content_digests)} digests for n={self.n}"
+                f"{len(self.content_digests)} digests for n={n}"
             )
-        self.to_params()  # validates n, seeds-per-method, cover sources
-
-    def to_params(self) -> SchemeParams:
-        return SchemeParams(
-            method=self.method,
-            n=self.n,
-            bit_transform=self.bit_transform,
-            seeds=self.seeds,
-            cover_sources=self.cover_sources,
-        )
 
     def to_json(self) -> str:
         doc = {
             "schema": MANIFEST_SCHEMA,
             "user_id": self.user_id,
-            "method": self.method.value,
-            "n": self.n,
-            "bit_transform": self.bit_transform.descriptor(),
-            "seeds": [str(s) for s in self.seeds],
+            "method": self.params.method.value,
+            "n": self.params.n,
+            "bit_transform": self.params.bit_transform.descriptor(),
+            "seeds": [str(s) for s in self.params.seeds],
             "dims": list(self.dims),
             "share_files": list(self.share_files),
             "digest_algorithm": DIGEST_ALGORITHM,
             "content_digests": list(self.content_digests),
-            "cover_sources": list(self.cover_sources),
+            "cover_sources": list(self.params.cover_sources),
         }
         return json.dumps(doc, indent=2) + "\n"
 
@@ -96,14 +92,16 @@ class EnrollmentManifest:
 
         return cls(
             user_id=field("user_id"),
-            method=field("method", Method),
-            n=field("n", int),
-            bit_transform=field("bit_transform", lambda v: BitTransform.parse(_text(v))),
-            seeds=field("seeds", lambda v: tuple(int(s) for s in v)),
+            params=SchemeParams(
+                method=field("method", Method),
+                n=field("n", int),
+                bit_transform=field("bit_transform", lambda v: BitTransform.parse(_text(v))),
+                seeds=field("seeds", lambda v: tuple(int(s) for s in v)),
+                cover_sources=field("cover_sources", tuple),
+            ),
             dims=field("dims", lambda v: (int(v[0]), int(v[1]))),
             share_files=field("share_files", lambda v: tuple(map(_text, v))),
             content_digests=field("content_digests", tuple),
-            cover_sources=field("cover_sources", tuple),
         )
 
 
@@ -113,12 +111,41 @@ def _text(value: object) -> str:
     return value
 
 
+def _require_plain_name(field: str, name: str) -> None:
+    """A store name must be one file-name component, so it cannot leave the
+    directory it is joined to."""
+    if name in ("", ".", "..") or any(sep in name for sep in "/\\\0"):
+        raise ValueError(f"{field} must be a plain file name, got {name!r}")
+
+
 def save_manifest(manifest: EnrollmentManifest, path: str | Path) -> None:
     Path(path).write_text(manifest.to_json(), encoding="utf-8")
 
 
 def load_manifest(path: str | Path) -> EnrollmentManifest:
     return EnrollmentManifest.from_json(Path(path).read_text(encoding="utf-8"))
+
+
+def save_enrollment(share_set: ShareSet, user_id: str, out_dir: str | Path) -> Path:
+    """Write one enrollment's shares, then its manifest; returns the manifest path.
+
+    The manifest is built, and so validated, before any file is written.
+    """
+    out_dir = Path(out_dir)
+    n = share_set.params.n
+    manifest = EnrollmentManifest(
+        user_id=user_id,
+        params=share_set.params,
+        dims=share_set.dims,
+        share_files=tuple(f"{user_id}_share_{i}.pgm" for i in range(1, n + 1)),
+        content_digests=tuple(pixel_digest(share) for share in share_set.shares),
+    )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, share in zip(manifest.share_files, share_set.shares):
+        write_pgm_file(share, out_dir / name)
+    manifest_path = out_dir / f"{user_id}_manifest.json"
+    save_manifest(manifest, manifest_path)
+    return manifest_path
 
 
 def load_share_set(manifest: EnrollmentManifest, share_dir: str | Path) -> ShareSet:
@@ -144,4 +171,4 @@ def load_share_set(manifest: EnrollmentManifest, share_dir: str | Path) -> Share
         if pixel_digest(img) != digest:
             raise IntegrityError(f"digest mismatch for share file {rel}")
         shares.append(img)
-    return ShareSet(tuple(shares), manifest.to_params(), manifest.dims)
+    return ShareSet(tuple(shares), manifest.params, manifest.dims)

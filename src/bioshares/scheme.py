@@ -175,11 +175,8 @@ def enroll(secret: GrayImage, covers: Sequence[GrayImage], params: SchemeParams)
 
 def authenticate(share_set: ShareSet) -> ReconstructionResult:
     """Invert the enrollment chain; requires the complete set of n shares."""
-    shares = share_set.shares
-    if len(shares) != share_set.params.n or len(shares) < 2:
-        raise ValueError("reconstruction requires the complete set of shares")
     transform = share_set.params.bit_transform
-    noisy = [bit_transform(ss, transform, "right") for ss in shares]
+    noisy = [bit_transform(ss, transform, "right") for ss in share_set.shares]
     temp = [noisy[0]]
     for i in range(1, len(noisy)):
         temp.append(xor_images(noisy[i], noisy[i - 1]))

@@ -38,8 +38,8 @@ class TestEnroll:
         assert run(["enroll", path, "--out", out, "--method", "m3",
                     "--shares", "4", "--seed", "42"]) == 0
         manifest = load_manifest(out / "alice_manifest.json")
-        assert manifest.n == 4
-        assert len(manifest.seeds) == 4
+        assert manifest.params.n == 4
+        assert len(manifest.params.seeds) == 4
         assert manifest.dims == img.dims
         for name, digest in zip(manifest.share_files, manifest.content_digests):
             share = load_pgm((out / name).read_bytes())
@@ -61,8 +61,8 @@ class TestEnroll:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert run(["enroll", path, "--out", out_a, "--method", "m3"]) == 0
         assert run(["enroll", path, "--out", out_b, "--method", "m3"]) == 0
-        seeds_a = load_manifest(out_a / "alice_manifest.json").seeds
-        seeds_b = load_manifest(out_b / "alice_manifest.json").seeds
+        seeds_a = load_manifest(out_a / "alice_manifest.json").params.seeds
+        seeds_b = load_manifest(out_b / "alice_manifest.json").params.seeds
         assert seeds_a != seeds_b
 
     def test_m1_with_cover_files(self, tmp_path, original):
@@ -79,8 +79,8 @@ class TestEnroll:
             argv += ["--cover", p]
         assert run(argv) == 0
         manifest = load_manifest(out / "bob_manifest.json")
-        assert manifest.seeds == ()
-        assert len(manifest.cover_sources) == 3
+        assert manifest.params.seeds == ()
+        assert len(manifest.params.cover_sources) == 3
 
     def test_face_sized_enrollment(self, tmp_path):
         img = textured_image(0, 112, 94)
@@ -90,7 +90,7 @@ class TestEnroll:
         assert run(["enroll", path, "--out", out, "--method", "m3", "--seed", "8"]) == 0
         manifest = load_manifest(out / "subject_manifest.json")
         assert manifest.dims == (112, 94)
-        assert len(manifest.seeds) == 4
+        assert len(manifest.params.seeds) == 4
         share = load_pgm((out / manifest.share_files[0]).read_bytes())
         assert share.dims == (112, 94)
 
@@ -101,9 +101,33 @@ class TestEnroll:
         assert run(["enroll", path, "--out", tmp_path, "--method", "m3",
                     "--cover", cover]) == 2
 
+    def test_wrong_cover_count_is_usage_error(self, tmp_path, original):
+        _, path = original
+        cover = tmp_path / "c.pgm"
+        write_pgm_file(GrayImage.filled(4, 4, 1), cover)
+        assert run(["enroll", path, "--out", tmp_path / "out", "--method", "m1",
+                    "--cover", cover, "--cover", cover]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_single_share_is_usage_error(self, tmp_path, original):
         _, path = original
         assert run(["enroll", path, "--out", tmp_path, "--shares", "1"]) == 2
+
+    def test_share_count_above_max_is_usage_error(self, tmp_path, original, capsys):
+        # rejected before 200 million seeds are expanded
+        _, path = original
+        assert run(["enroll", path, "--out", tmp_path / "out", "--shares", "200000000",
+                    "--seed", "1"]) == 2
+        assert "--shares must be between 2 and 64" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_user_outside_out_is_usage_error(self, tmp_path, original, capsys):
+        _, path = original
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "a" / "b" / "out"
+        assert run(["enroll", path, "--out", out, "--user", "../../x", "--seed", "1"]) == 2
+        assert "user_id must be a plain file name" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_wrong_seed_count_is_usage_error(self, tmp_path, original):
         _, path = original
@@ -151,7 +175,7 @@ class TestAuthenticate:
         assert secret != img  # m3 secret stays permuted
         # and it equals the enrollment-time secret exactly
         manifest = load_manifest(manifest_path)
-        key = PermutationKey(manifest.seeds[0], img.pixel_count)
+        key = PermutationKey(manifest.params.seeds[0], img.pixel_count)
         assert secret == permute_image(img, key)
         assert (out / "alice_reconstructed_cover_3.pgm").exists()
 
@@ -183,7 +207,9 @@ class TestAuthenticate:
 
     def test_seed_override_with_wrong_count_is_usage_error(self, tmp_path, enrolled):
         _, manifest_path, _ = enrolled
-        assert run(["authenticate", manifest_path, "--seeds", "1,2"]) == 2
+        out = tmp_path / "rec"
+        assert run(["authenticate", manifest_path, "--out", out, "--seeds", "1,2"]) == 2
+        assert not out.exists()  # rejected before any reconstruction is written
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -191,15 +217,40 @@ class TestAuthenticate:
             (lambda doc: {k: v for k, v in doc.items() if k != "user_id"}, "'user_id' is missing"),
             (lambda doc: {k: v for k, v in doc.items() if k != "dims"}, "'dims' is missing"),
             (lambda doc: {**doc, "dims": [16]}, "'dims' is invalid"),
+            (lambda doc: {**doc, "dims": [0, 5]}, "dims must be two positive sizes"),
+            (lambda doc: {**doc, "dims": [-40, -30]}, "dims must be two positive sizes"),
             (lambda doc: [doc], "must be a JSON object"),
         ],
-        ids=["no-user-id", "no-dims", "one-dim", "top-level-array"],
+        ids=["no-user-id", "no-dims", "one-dim", "zero-dim", "negative-dims",
+             "top-level-array"],
     )
     def test_malformed_manifest_is_format_error(self, tmp_path, enrolled, capsys, edit, message):
         _, manifest_path, _ = enrolled
         manifest_path.write_text(json.dumps(edit(json.loads(manifest_path.read_text()))))
         assert run(["authenticate", manifest_path, "--out", tmp_path / "rec"]) == 5
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
+
+
+    def test_share_file_outside_store_is_format_error(self, tmp_path, enrolled, capsys):
+        # a valid share placed next to the store must still not be read
+        _, manifest_path, store = enrolled
+        (tmp_path / "outside.pgm").write_bytes((store / "alice_share_1.pgm").read_bytes())
+        doc = json.loads(manifest_path.read_text())
+        doc["share_files"][0] = "../outside.pgm"
+        manifest_path.write_text(json.dumps(doc))
+        assert run(["authenticate", manifest_path, "--out", tmp_path / "rec"]) == 5
+        assert "share_files must be a plain file name" in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
+
+    def test_user_id_outside_out_is_format_error(self, tmp_path, enrolled, capsys):
+        _, manifest_path, _ = enrolled
+        doc = json.loads(manifest_path.read_text())
+        doc["user_id"] = "../escaped"
+        manifest_path.write_text(json.dumps(doc))
+        assert run(["authenticate", manifest_path, "--out", tmp_path / "rec"]) == 5
+        assert "user_id must be a plain file name" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("escaped*"))
         assert not (tmp_path / "rec").exists()
 
 
@@ -298,6 +349,14 @@ class TestBatch:
         err = capsys.readouterr().err
         assert "skipping broken.pgm: truncated pixel payload" in err
         assert "skipped 1 unreadable/undecodable files\n" in err
+
+    def test_share_count_above_max_is_usage_error(self, tmp_path, corpus, capsys):
+        report = tmp_path / "report.json"
+        assert run(["batch", corpus, "--shares", "200000000", "--report", report]) == 2
+        err = capsys.readouterr().err
+        assert "--shares must be between 2 and 64" in err
+        assert "Traceback" not in err
+        assert not report.exists()
 
     def test_empty_corpus_is_io_error(self, tmp_path):
         empty = tmp_path / "empty"

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bioshares import (
-    REVERSE8,
     BitTransform,
     EnrollmentManifest,
     GrayImage,
@@ -16,6 +15,7 @@ from bioshares import (
     load_manifest,
     load_share_set,
     pixel_digest,
+    save_enrollment,
     save_manifest,
     write_pgm_file,
 )
@@ -26,10 +26,7 @@ from helpers import random_image
 def build_manifest(**overrides):
     fields = dict(
         user_id="alice",
-        method=Method.M3,
-        n=2,
-        bit_transform=BitTransform("rotate", 2),
-        seeds=(5, 6),
+        params=SchemeParams(Method.M3, n=2, bit_transform=BitTransform("rotate", 2), seeds=(5, 6)),
         dims=(4, 4),
         share_files=("alice_share_1.pgm", "alice_share_2.pgm"),
         content_digests=("a" * 64, "b" * 64),
@@ -63,8 +60,27 @@ class TestManifest:
             build_manifest(share_files=("only_one.pgm",))
 
     def test_seed_rule_applies(self):
+        doc = json.loads(build_manifest().to_json())
+        doc["seeds"] = ["5"]
         with pytest.raises(ValueError, match="takes 2 seeds"):
-            build_manifest(seeds=(5,))
+            EnrollmentManifest.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../x.pgm", "a/b.pgm", "/abs.pgm",
+                                      "a\\b.pgm", "nul\0.pgm"])
+    def test_store_names_must_be_plain(self, name):
+        with pytest.raises(ValueError, match="user_id must be a plain file name"):
+            build_manifest(user_id=name)
+        with pytest.raises(ValueError, match="share_files must be a plain file name"):
+            build_manifest(share_files=("alice_share_1.pgm", name))
+
+    def test_plain_names_with_dots_are_kept(self):
+        m = build_manifest(user_id="a.b", share_files=("..x.pgm", "x..pgm"))
+        assert EnrollmentManifest.from_json(m.to_json()) == m
+
+    @pytest.mark.parametrize("dims", [(0, 5), (5, 0), (-40, -30), (4,)])
+    def test_dims_must_be_two_positive_sizes(self, dims):
+        with pytest.raises(ValueError, match="dims must be two positive sizes"):
+            build_manifest(dims=dims)
 
     def test_unknown_schema_rejected(self):
         doc = json.loads(build_manifest().to_json())
@@ -90,23 +106,24 @@ class TestLoadShareSet:
         secret = random_image(rng, 6, 6)
         covers = [random_image(rng, 6, 6) for _ in range(2)]
         share_set = enroll(secret, covers, SchemeParams(Method.M1, n=3))
-        names, digests = [], []
-        for i, share in enumerate(share_set.shares, start=1):
-            name = f"u_share_{i}.pgm"
-            write_pgm_file(share, tmp_path / name)
-            names.append(name)
-            digests.append(pixel_digest(share))
-        manifest = EnrollmentManifest(
-            user_id="u",
-            method=Method.M1,
-            n=3,
-            bit_transform=REVERSE8,
-            seeds=(),
-            dims=(6, 6),
-            share_files=tuple(names),
-            content_digests=tuple(digests),
-        )
+        manifest = load_manifest(save_enrollment(share_set, "u", tmp_path))
         return manifest, tmp_path, share_set
+
+    def test_store_layout(self, enrolled):
+        manifest, share_dir, share_set = enrolled
+        assert sorted(p.name for p in share_dir.iterdir()) == [
+            "u_manifest.json", "u_share_1.pgm", "u_share_2.pgm", "u_share_3.pgm"]
+        assert manifest.share_files == ("u_share_1.pgm", "u_share_2.pgm", "u_share_3.pgm")
+        assert manifest.content_digests == tuple(pixel_digest(s) for s in share_set.shares)
+        assert manifest.params == share_set.params
+        assert manifest.dims == (6, 6)
+
+    def test_bad_user_writes_nothing(self, enrolled, tmp_path):
+        _, _, share_set = enrolled
+        out = tmp_path / "new" / "store"
+        with pytest.raises(ValueError, match="user_id"):
+            save_enrollment(share_set, "../u", out)
+        assert not (tmp_path / "new").exists()
 
     def test_loads_verified_set(self, enrolled):
         manifest, share_dir, original_set = enrolled
