@@ -94,14 +94,14 @@ class EnrollmentManifest:
             user_id=field("user_id"),
             params=SchemeParams(
                 method=field("method", Method),
-                n=field("n", int),
+                n=field("n", _integer),
                 bit_transform=field("bit_transform", lambda v: BitTransform.parse(_text(v))),
-                seeds=field("seeds", lambda v: tuple(int(s) for s in v)),
-                cover_sources=field("cover_sources", tuple),
+                seeds=field("seeds", lambda v: tuple(int(s) for s in _array(v, _text))),
+                cover_sources=field("cover_sources", lambda v: _array(v, _text)),
             ),
-            dims=field("dims", lambda v: (int(v[0]), int(v[1]))),
-            share_files=field("share_files", lambda v: tuple(map(_text, v))),
-            content_digests=field("content_digests", tuple),
+            dims=field("dims", lambda v: _pair(_array(v, _integer))),
+            share_files=field("share_files", lambda v: _array(v, _text)),
+            content_digests=field("content_digests", lambda v: _array(v, _text)),
         )
 
 
@@ -109,6 +109,26 @@ def _text(value: object) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {type(value).__name__}")
     return value
+
+
+def _integer(value: object) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _array(value: object, entry) -> tuple:
+    """A JSON array as a tuple, each entry checked by `entry`; a string is not
+    taken as an array of its characters."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON array, got {type(value).__name__}")
+    return tuple(entry(item) for item in value)
+
+
+def _pair(values: tuple) -> tuple:
+    if len(values) != 2:
+        raise ValueError(f"expected two entries, got {len(values)}")
+    return values
 
 
 def _require_plain_name(field: str, name: str) -> None:

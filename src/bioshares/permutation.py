@@ -1,9 +1,11 @@
 """Seed-keyed pixel permutations.
 
-A permutation is produced by a Fisher-Yates shuffle whose draws come from
-SplitMix64 (see the prng module), so a (seed, length) pair names the same
-bijection on every platform. Re-issuing a template is just a matter of
-choosing new seeds; without the seed the permutation cannot be undone.
+A permutation is exactly the one a sequential Fisher-Yates shuffle produces
+when its draws come from SplitMix64 (see the prng module), so a
+(seed, length) pair names the same bijection on every platform. It is
+computed without the swap loop, by one sort and pointer doubling over whole
+arrays. Re-issuing a template is just a matter of choosing new seeds;
+without the seed the permutation cannot be undone.
 """
 
 from __future__ import annotations
@@ -16,9 +18,18 @@ from .images import GrayImage
 from .prng import SEED_MAX, splitmix64
 
 
+MAX_LENGTH = 2**31
+"""Longest permutation a key may select. derive_permutation sorts its steps
+by target << 32 | step, which fits an int64 while every index is below
+2**31."""
+
+
 @dataclass(frozen=True)
 class PermutationKey:
-    """A (seed, length) pair selecting one bijection on {0..length-1}."""
+    """A (seed, length) pair selecting one bijection on {0..length-1}.
+
+    Raises ValueError unless 0 <= seed < 2**64 and 1 <= length <= MAX_LENGTH.
+    """
 
     seed: int
     length: int
@@ -26,26 +37,56 @@ class PermutationKey:
     def __post_init__(self) -> None:
         if not 0 <= self.seed <= SEED_MAX:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.length <= 0:
-            raise ValueError(f"permutation length must be positive, got {self.length}")
+        if not 1 <= self.length <= MAX_LENGTH:
+            raise ValueError(f"permutation length must be in 1..{MAX_LENGTH}, got {self.length}")
 
 
 def derive_permutation(key: PermutationKey) -> np.ndarray:
     """The bijection selected by the key, as a read-only int64 index array.
 
+    The result is exactly the sequential Fisher-Yates shuffle of
+    0..length-1: for k = length-1 down to 1, swap positions k and
+    t[k] = draw mod (k + 1), the draws being the key's SplitMix64 outputs in
+    order. It is computed without the loop. Since t[k] <= k, step k is the
+    last to write position k, so out[k] is the value at t[k] just before
+    step k: the value left there by the previous writer of t[k] (the next
+    larger step with the same target), or t[k] itself if there was none.
+    Step k' leaves at its target the value V(k') that position k' held
+    before step k', and V(p) = V(smallest step that targets p), or p if no
+    step does. That chain climbs strictly except at a self-swap
+    (t[p] == p), where V(p) reads as p; no step reads V(p) then, because
+    only larger steps can target p. One sort by (target, step) groups the
+    steps by target in step order, and pointer doubling resolves every
+    chain in O(log length) whole-array rounds.
+
     Nothing is memoised: the array is key material and lives only as long as
     its caller keeps it.
     """
-    # Fisher-Yates, descending: at step i swap with j = draw mod (i + 1)
     length = key.length
-    draws = splitmix64(key.seed, length - 1)
-    bounds = np.arange(length, 1, -1, dtype=np.uint64)
-    perm = list(range(length))
-    i = length - 1
-    for j in (draws % bounds).tolist():
-        perm[i], perm[j] = perm[j], perm[i]
-        i -= 1
-    out = np.asarray(perm, dtype=np.int64)
+    # step 0 swaps position 0 with itself, so out[0] follows the same rule
+    targets = np.zeros(length, dtype=np.int64)
+    targets[:0:-1] = splitmix64(key.seed, length - 1) % np.arange(length, 1, -1, dtype=np.uint64)
+    sort_key = (targets << 32) | np.arange(length, dtype=np.int64)
+    del targets
+    sort_key.sort()
+    group, step = sort_key >> 32, sort_key & 0xFFFFFFFF
+    del sort_key
+    # head[i]: entry i is the first, so smallest, step of its target group
+    head = np.ones(length, dtype=bool)
+    np.not_equal(group[1:], group[:-1], out=head[1:])
+    chain = np.arange(length, dtype=np.int64)
+    chain[group[head]] = step[head]
+    while True:
+        jumped = chain[chain]
+        if np.array_equal(jumped, chain):
+            break
+        chain = jumped
+    del jumped
+    # the last entry of a group is its first writer in time, which finds the
+    # original index; every other entry finds what the next entry left
+    out = np.empty(length, dtype=np.int64)
+    out[step[:-1]] = np.where(head[1:], group[:-1], chain[step[1:]])
+    out[step[-1]] = group[-1]
     out.setflags(write=False)
     return out
 

@@ -1,12 +1,13 @@
-"""Shared test helpers: hypothesis strategies for images and a small BMP writer
-kept independent of the package's own decoder."""
+"""Shared test helpers: hypothesis strategies for images, the sequential
+Fisher-Yates shuffle that keyed permutations must reproduce, and a small BMP
+writer kept independent of the package's own decoder."""
 
 import struct
 
 import numpy as np
 from hypothesis import strategies as st
 
-from bioshares import GrayImage
+from bioshares import GrayImage, splitmix64
 
 
 @st.composite
@@ -38,6 +39,19 @@ def image_triples(draw, max_side=8):
         for _ in range(3)
     )
     return imgs
+
+
+def fisher_yates(seed, length):
+    """Reference permutation: the swap loop over a Python list, descending,
+    swapping position i with draw mod (i + 1)."""
+    draws = splitmix64(seed, length - 1)
+    bounds = np.arange(length, 1, -1, dtype=np.uint64)
+    perm = list(range(length))
+    i = length - 1
+    for j in (draws % bounds).tolist():
+        perm[i], perm[j] = perm[j], perm[i]
+        i -= 1
+    return perm
 
 
 def random_image(rng, width, height):

@@ -220,9 +220,19 @@ class TestAuthenticate:
             (lambda doc: {**doc, "dims": [0, 5]}, "dims must be two positive sizes"),
             (lambda doc: {**doc, "dims": [-40, -30]}, "dims must be two positive sizes"),
             (lambda doc: [doc], "must be a JSON object"),
+            # a JSON string must not pass as the array of its characters
+            (lambda doc: {**doc, "content_digests": "a" * doc["n"]},
+             "'content_digests' is invalid: expected a JSON array"),
+            (lambda doc: {**doc, "seeds": "1" * len(doc["seeds"])},
+             "'seeds' is invalid: expected a JSON array"),
+            (lambda doc: {**doc, "dims": "44"}, "'dims' is invalid: expected a JSON array"),
+            (lambda doc: {**doc, "cover_sources": "xy"},
+             "'cover_sources' is invalid: expected a JSON array"),
+            (lambda doc: {**doc, "n": 4.9}, "'n' is invalid: expected an integer"),
         ],
         ids=["no-user-id", "no-dims", "one-dim", "zero-dim", "negative-dims",
-             "top-level-array"],
+             "top-level-array", "string-digests", "string-seeds", "string-dims",
+             "string-cover-sources", "fractional-n"],
     )
     def test_malformed_manifest_is_format_error(self, tmp_path, enrolled, capsys, edit, message):
         _, manifest_path, _ = enrolled

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bioshares import (
     GrayImage,
@@ -9,14 +10,33 @@ from bioshares import (
     inverse_permute_image,
     permute_image,
 )
+from bioshares.permutation import MAX_LENGTH
 
-from helpers import gray_images, random_image
+from helpers import fisher_yates, gray_images, random_image
 
 
 class TestDerivation:
     def test_length_one_is_identity(self):
         for seed in (0, 1, 2**64 - 1):
             assert derive_permutation(PermutationKey(seed, 1)).tolist() == [0]
+
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 3000))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sequential_fisher_yates(self, seed, length):
+        assert derive_permutation(PermutationKey(seed, length)).tolist() == fisher_yates(seed, length)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 10_304])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_matches_sequential_fisher_yates_at_edges(self, seed, length):
+        assert derive_permutation(PermutationKey(seed, length)).tolist() == fisher_yates(seed, length)
+
+    def test_length_bound_keeps_the_sort_key_in_int64(self):
+        # the sort key is target << 32 | step, with target and step below MAX_LENGTH
+        assert ((MAX_LENGTH - 1) << 32 | (MAX_LENGTH - 1)) <= np.iinfo(np.int64).max
+        assert MAX_LENGTH - 1 <= 0xFFFFFFFF
+        assert PermutationKey(2**64 - 1, MAX_LENGTH).length == MAX_LENGTH
+        with pytest.raises(ValueError, match=f"1..{MAX_LENGTH}"):
+            PermutationKey(0, MAX_LENGTH + 1)
 
     def test_bijection_over_many_seeds(self):
         rng = np.random.default_rng(7)

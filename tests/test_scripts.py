@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from bioshares import MetricsReport
 from bioshares.cli import IDEAL_ROW
 
@@ -34,3 +36,16 @@ def test_distortion_table_over_synthetic_corpus(tmp_path):
         cells = dict(zip(MetricsReport.FIELDS, row[1:]))
         assert float(cells["mse"]) > 0
         assert 0 < float(cells["npcr"]) <= 100
+
+
+@pytest.mark.parametrize("size", ["abc", "5", "0x4"])
+def test_bad_corpus_size_is_usage_error(tmp_path, size):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "make_synthetic_corpus.py"), str(tmp_path / "corpus"),
+         "--size", size],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "usage:" in done.stderr and "WIDTHxHEIGHT" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "corpus").exists()
