@@ -20,7 +20,7 @@ from .datasets import DATASET_KINDS, EmptyCorpusError
 from .images import BitTransform, DimensionMismatchError
 from .manifest import IntegrityError, load_manifest, load_share_set, save_enrollment
 from .metrics import MetricsReport, format_measure, mean_reports, report_all
-from .prng import SEED_MAX, seed_sequence
+from .prng import parse_seed, seed_sequence
 from .scheme import (
     Method,
     SchemeParams,
@@ -52,19 +52,13 @@ class UsageError(ValueError):
 
 def _u64(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 0 <= value <= SEED_MAX:
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
-    return value
+        return parse_seed(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _seed_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(_u64(part.strip()) for part in text.split(","))
-    except argparse.ArgumentTypeError as exc:
-        raise argparse.ArgumentTypeError(f"bad seed list: {exc}") from None
+    return tuple(map(_u64, text.split(",")))
 
 
 def _bit_transform(text: str) -> BitTransform:

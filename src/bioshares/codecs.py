@@ -1,9 +1,12 @@
 """Image codecs: PGM (P2 ASCII and P5 binary, maxval <= 255) and uncompressed
 BMP (8-bit palette or 24-bit BGR). The PGM writer always emits binary P5 with
-maxval 255, so save/load round-trips are bit-exact."""
+maxval 255, so save/load round-trips are bit-exact. A P2 body is parsed as a
+whole: comments are blanked, the body is cut at the first byte that is
+neither a digit nor whitespace, then split once and checked against maxval."""
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,34 +28,22 @@ class BmpError(ValueError):
     """Malformed or unsupported BMP input."""
 
 
-_WS = frozenset(b" \t\r\n\x0b\x0c")
-
-
-def _skip_space(buf: bytes, pos: int) -> int:
-    # '#' comments run to end of line and count as whitespace
-    n = len(buf)
-    while pos < n:
-        b = buf[pos]
-        if b in _WS:
-            pos += 1
-        elif b == 0x23:
-            while pos < n and buf[pos] != 0x0A:
-                pos += 1
-        else:
-            break
-    return pos
+# PGM whitespace is the six ASCII bytes bytes.split() splits on; a '#'
+# comment runs to the end of its line and counts as whitespace
+_WS = rb" \t\r\n\x0b\x0c"
+_COMMENT = re.compile(rb"#[^\n]*")
+_SPACE = re.compile(rb"(?:[%s]|%s)*" % (_WS, _COMMENT.pattern))
+_STRAY = re.compile(rb"[^0-9%s]" % _WS)
+_DIGITS = re.compile(rb"[0-9]+")
 
 
 def _read_uint(buf: bytes, pos: int, what: str) -> tuple[int, int, int]:
     """Read a decimal token; returns (value, token_start, next_pos)."""
-    pos = _skip_space(buf, pos)
-    start = pos
-    n = len(buf)
-    while pos < n and 0x30 <= buf[pos] <= 0x39:
-        pos += 1
-    if pos == start:
+    start = _SPACE.match(buf, pos).end()
+    token = _DIGITS.match(buf, start)
+    if token is None:
         raise PgmError(f"malformed header: expected {what}", offset=start)
-    return int(buf[start:pos]), start, pos
+    return int(token[0]), start, token.end()
 
 
 def load_pgm(data: bytes) -> GrayImage:
@@ -74,7 +65,7 @@ def load_pgm(data: bytes) -> GrayImage:
     need = width * height
 
     if binary:
-        if pos >= len(data) or data[pos] not in _WS:
+        if not data[pos : pos + 1].isspace():
             raise PgmError("malformed header: missing whitespace after maxval", offset=pos)
         pos += 1
         available = len(data) - pos
@@ -95,19 +86,31 @@ def load_pgm(data: bytes) -> GrayImage:
 
     if need > (len(data) - pos) // 2:  # each value takes a separator and a digit
         raise PgmError(f"truncated pixel payload: header asks for {need} values", offset=len(data))
-    values = np.empty(need, dtype=np.uint8)
-    for i in range(need):
-        try:
-            v, vstart, pos = _read_uint(data, pos, "pixel value")
-        except PgmError:
-            raise PgmError(
-                f"truncated pixel payload: expected {need} values, found {i}",
-                offset=len(data),
-            ) from None
-        if v > maxval:
-            raise PgmError(f"pixel value {v} exceeds maxval {maxval}", offset=vstart)
-        values[i] = v
-    return GrayImage(width, height, values)
+    return GrayImage(width, height, _p2_values(data, pos, need, maxval))
+
+
+def _p2_values(data: bytes, pos: int, need: int, maxval: int) -> np.ndarray:
+    """The first `need` P2 values after byte `pos`. Comments are blanked to
+    spaces, so offsets hold; values end at the first byte that is neither a
+    digit nor whitespace; a value above maxval is reported before a short
+    count, in the order a token-at-a-time reader meets them."""
+    body = _COMMENT.sub(lambda m: b" " * len(m[0]), data[pos:])
+    stray = _STRAY.search(body)
+    tokens = body[: stray.start() if stray else None].split(None, need)[:need]
+    try:
+        values = list(map(int, tokens))
+        bad = max(values, default=0) > maxval
+    except ValueError:  # a token beyond int()'s digit limit; raised again below, in order
+        bad = True
+    if bad:
+        for token, match in zip(tokens, _DIGITS.finditer(body)):
+            if int(token) > maxval:
+                raise PgmError(f"pixel value {int(token)} exceeds maxval {maxval}",
+                               offset=pos + match.start())
+    if len(tokens) < need:
+        raise PgmError(f"truncated pixel payload: expected {need} values, found {len(tokens)}",
+                       offset=len(data))
+    return np.array(values, dtype=np.uint8)
 
 
 def save_pgm(img: GrayImage) -> bytes:

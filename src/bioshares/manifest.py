@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .codecs import PgmError, load_pgm, write_pgm_file
 from .images import BitTransform, GrayImage
+from .prng import parse_seed
 from .scheme import Method, SchemeParams, ShareSet
 
 MANIFEST_SCHEMA = 1
@@ -96,7 +97,7 @@ class EnrollmentManifest:
                 method=field("method", Method),
                 n=field("n", _integer),
                 bit_transform=field("bit_transform", lambda v: BitTransform.parse(_text(v))),
-                seeds=field("seeds", lambda v: tuple(int(s) for s in _array(v, _text))),
+                seeds=field("seeds", lambda v: _array(v, lambda s: parse_seed(_text(s)))),
                 cover_sources=field("cover_sources", lambda v: _array(v, _text)),
             ),
             dims=field("dims", lambda v: _pair(_array(v, _integer))),

@@ -4,7 +4,9 @@ Eight measures: Pearson correlation, MSE, RMSE, MAE, PSNR, single-window
 SSIM, NPCR (percentage of differing pixel positions) and UACI (mean absolute
 difference as a percentage of the 255 range). For identical inputs they hit
 their ideal values exactly: cr=1, mse=0, mae=0, psnr=inf, ssim=1, npcr=0,
-uaci=0.
+uaci=0. MSE and MAE are exact integer sums of |difference| over the pixel
+count; every partial sum stays below 2**53, so they equal the float64 means
+bit for bit.
 """
 
 from __future__ import annotations
@@ -25,26 +27,40 @@ class ConstantImageError(ValueError):
     """Correlation is undefined when an input has zero variance."""
 
 
-def _flat(img: GrayImage) -> np.ndarray:
-    return img.data.astype(np.float64)
+def _abs_diff(i: GrayImage, s: GrayImage) -> np.ndarray:
+    require_same_dims(i, s)
+    return np.maximum(i.data, s.data) - np.minimum(i.data, s.data)
+
+
+def _centred_sums(i: GrayImage, s: GrayImage) -> tuple[float, float, float, float, float]:
+    """Means and the sums of da*da, db*db and da*db of the inputs centred in
+    float64: two buffers (db built twice), no ufunc that needs a casting buffer."""
+    require_same_dims(i, s)
+    da = i.data.astype(np.float64)
+    db = s.data.astype(np.float64)
+    mu_a, mu_b = float(da.mean()), float(db.mean())
+    da -= mu_a
+    db -= mu_b
+    sab = float(np.multiply(da, db, out=db).sum())
+    saa = float(np.multiply(da, da, out=da).sum())
+    db[...] = s.data
+    db -= mu_b
+    sbb = float(np.multiply(db, db, out=db).sum())
+    return mu_a, mu_b, saa, sbb, sab
 
 
 def correlation(i: GrayImage, s: GrayImage) -> float:
     """Pearson correlation over all pixels; raises on constant inputs."""
-    require_same_dims(i, s)
-    a, b = _flat(i), _flat(s)
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = math.sqrt(float((da * da).sum()) * float((db * db).sum()))
+    _, _, saa, sbb, sab = _centred_sums(i, s)
+    denom = math.sqrt(saa * sbb)
     if denom == 0.0:
         raise ConstantImageError("correlation undefined: a constant image has zero variance")
-    return min(1.0, max(-1.0, float((da * db).sum()) / denom))
+    return min(1.0, max(-1.0, sab / denom))
 
 
 def mse(i: GrayImage, s: GrayImage) -> float:
-    require_same_dims(i, s)
-    d = _flat(i) - _flat(s)
-    return float((d * d).mean())
+    d = _abs_diff(i, s)
+    return int(np.square(d, dtype=np.uint16).sum(dtype=np.int64)) / d.size
 
 
 def rmse(i: GrayImage, s: GrayImage) -> float:
@@ -52,8 +68,8 @@ def rmse(i: GrayImage, s: GrayImage) -> float:
 
 
 def mae(i: GrayImage, s: GrayImage) -> float:
-    require_same_dims(i, s)
-    return float(np.abs(_flat(i) - _flat(s)).mean())
+    d = _abs_diff(i, s)
+    return int(d.sum(dtype=np.int64)) / d.size
 
 
 def psnr_from_mse(mse_value: float) -> float:
@@ -70,17 +86,11 @@ def psnr(i: GrayImage, s: GrayImage) -> float:
 def ssim(i: GrayImage, s: GrayImage) -> float:
     """Structural similarity with a single window spanning the whole image,
     C1=(0.01*255)^2 and C2=(0.03*255)^2."""
-    require_same_dims(i, s)
-    a, b = _flat(i), _flat(s)
-    mu_a, mu_b = a.mean(), b.mean()
-    da = a - mu_a
-    db = b - mu_b
-    var_a = float((da * da).mean())
-    var_b = float((db * db).mean())
-    cov = float((da * db).mean())
-    num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
-    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
-    return float(num / den)
+    mu_a, mu_b, saa, sbb, sab = _centred_sums(i, s)
+    p = i.pixel_count
+    num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * (sab / p) + SSIM_C2)
+    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (saa / p + sbb / p + SSIM_C2)
+    return num / den
 
 
 def npcr(i: GrayImage, s: GrayImage) -> float:
@@ -122,21 +132,6 @@ class MetricsReport:
         if math.isinf(self.psnr):
             d["psnr"] = "inf"
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict[str, object]) -> "MetricsReport":
-        cr = d["cr"]
-        psnr_value = d["psnr"]
-        return cls(
-            cr=None if cr is None else float(cr),  # type: ignore[arg-type]
-            mse=float(d["mse"]),  # type: ignore[arg-type]
-            rmse=float(d["rmse"]),  # type: ignore[arg-type]
-            mae=float(d["mae"]),  # type: ignore[arg-type]
-            psnr=math.inf if psnr_value == "inf" else float(psnr_value),  # type: ignore[arg-type]
-            ssim=float(d["ssim"]),  # type: ignore[arg-type]
-            npcr=float(d["npcr"]),  # type: ignore[arg-type]
-            uaci=float(d["uaci"]),  # type: ignore[arg-type]
-        )
 
 
 def report_all(i: GrayImage, s: GrayImage) -> MetricsReport:

@@ -24,6 +24,13 @@ SEED_BITS = 64
 SEED_MAX = _MASK
 
 
+def parse_seed(text: str) -> int:
+    """A seed of ASCII decimal digits only (no sign, space or `_`) up to SEED_MAX."""
+    if not (text.isascii() and text.isdigit()) or int(text) > SEED_MAX:
+        raise ValueError(f"seed must be decimal digits within 0..{SEED_MAX}, got {text!r}")
+    return int(text)
+
+
 def splitmix64(seed: int, count: int) -> np.ndarray:
     """First `count` SplitMix64 outputs for `seed`, as a uint64 array."""
     if count < 0:

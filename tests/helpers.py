@@ -1,13 +1,24 @@
-"""Shared test helpers: hypothesis strategies for images, the sequential
-Fisher-Yates shuffle that keyed permutations must reproduce, and a small BMP
-writer kept independent of the package's own decoder."""
+"""Shared test helpers: hypothesis strategies for images, reference
+implementations that the package's whole-array code must reproduce bit for
+bit (the sequential Fisher-Yates shuffle, the float64 formulas of the
+measures, the token-at-a-time PGM reader), a reader for JSON metric reports
+and a small BMP writer kept independent of the package's own decoder."""
 
+import math
 import struct
 
 import numpy as np
 from hypothesis import strategies as st
 
-from bioshares import GrayImage, splitmix64
+from bioshares import (
+    ConstantImageError,
+    GrayImage,
+    MetricsReport,
+    PgmError,
+    require_same_dims,
+    splitmix64,
+)
+from bioshares.metrics import SSIM_C1, SSIM_C2
 
 
 @st.composite
@@ -52,6 +63,144 @@ def fisher_yates(seed, length):
         perm[i], perm[j] = perm[j], perm[i]
         i -= 1
     return perm
+
+
+def _float64(img):
+    return img.data.astype(np.float64)
+
+
+def float_correlation(i, s):
+    """Pearson correlation from float64 means and centred products."""
+    require_same_dims(i, s)
+    a, b = _float64(i), _float64(s)
+    da = a - a.mean()
+    db = b - b.mean()
+    denom = math.sqrt(float((da * da).sum()) * float((db * db).sum()))
+    if denom == 0.0:
+        raise ConstantImageError("correlation undefined: a constant image has zero variance")
+    return min(1.0, max(-1.0, float((da * db).sum()) / denom))
+
+
+def float_mse(i, s):
+    require_same_dims(i, s)
+    d = _float64(i) - _float64(s)
+    return float((d * d).mean())
+
+
+def float_mae(i, s):
+    require_same_dims(i, s)
+    return float(np.abs(_float64(i) - _float64(s)).mean())
+
+
+def float_ssim(i, s):
+    """Single-window SSIM from float64 means, variances and covariance."""
+    require_same_dims(i, s)
+    a, b = _float64(i), _float64(s)
+    mu_a, mu_b = a.mean(), b.mean()
+    da = a - mu_a
+    db = b - mu_b
+    var_a = float((da * da).mean())
+    var_b = float((db * db).mean())
+    cov = float((da * db).mean())
+    num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
+    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
+    return float(num / den)
+
+
+_PGM_SPACE = frozenset(b" \t\r\n\x0b\x0c")
+
+
+def _skip_space(buf, pos):
+    # '#' comments run to end of line and count as whitespace
+    n = len(buf)
+    while pos < n:
+        b = buf[pos]
+        if b in _PGM_SPACE:
+            pos += 1
+        elif b == 0x23:
+            while pos < n and buf[pos] != 0x0A:
+                pos += 1
+        else:
+            break
+    return pos
+
+
+def _read_uint(buf, pos, what):
+    """Read a decimal token; returns (value, token_start, next_pos)."""
+    pos = _skip_space(buf, pos)
+    start = pos
+    n = len(buf)
+    while pos < n and 0x30 <= buf[pos] <= 0x39:
+        pos += 1
+    if pos == start:
+        raise PgmError(f"malformed header: expected {what}", offset=start)
+    return int(buf[start:pos]), start, pos
+
+
+def load_pgm_token_loop(data):
+    """Reference PGM reader that walks the bytes one token at a time: the
+    header, then each P2 value, checked against maxval as it is read."""
+    if len(data) < 2 or data[0:1] != b"P" or data[1:2] not in (b"2", b"5"):
+        raise PgmError("not a P2/P5 PGM", offset=0)
+    binary = data[1:2] == b"5"
+    width, wstart, pos = _read_uint(data, 2, "width")
+    height, hstart, pos = _read_uint(data, pos, "height")
+    maxval, mstart, pos = _read_uint(data, pos, "maxval")
+    if width <= 0:
+        raise PgmError(f"malformed header: width {width}", offset=wstart)
+    if height <= 0:
+        raise PgmError(f"malformed header: height {height}", offset=hstart)
+    if maxval <= 0:
+        raise PgmError(f"malformed header: maxval {maxval}", offset=mstart)
+    if maxval > 255:
+        raise PgmError(f"maxval {maxval} exceeds 255", offset=mstart)
+    need = width * height
+
+    if binary:
+        if pos >= len(data) or data[pos] not in _PGM_SPACE:
+            raise PgmError("malformed header: missing whitespace after maxval", offset=pos)
+        pos += 1
+        available = len(data) - pos
+        if available < need:
+            raise PgmError(
+                f"truncated pixel payload: expected {need} bytes, found {available}",
+                offset=len(data),
+            )
+        pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
+        if maxval < 255:
+            over = pixels > maxval
+            if over.any():
+                raise PgmError(
+                    f"pixel value exceeds maxval {maxval}",
+                    offset=pos + int(over.argmax()),
+                )
+        return GrayImage(width, height, pixels)
+
+    if need > (len(data) - pos) // 2:
+        raise PgmError(f"truncated pixel payload: header asks for {need} values", offset=len(data))
+    values = np.empty(need, dtype=np.uint8)
+    for i in range(need):
+        try:
+            v, vstart, pos = _read_uint(data, pos, "pixel value")
+        except PgmError:
+            raise PgmError(
+                f"truncated pixel payload: expected {need} values, found {i}",
+                offset=len(data),
+            ) from None
+        if v > maxval:
+            raise PgmError(f"pixel value {v} exceeds maxval {maxval}", offset=vstart)
+        values[i] = v
+    return GrayImage(width, height, values)
+
+
+def report_from_dict(d):
+    """A MetricsReport read back from its `to_dict` form ("inf", None)."""
+    cr, psnr = d["cr"], d["psnr"]
+    return MetricsReport(
+        cr=None if cr is None else float(cr),
+        psnr=math.inf if psnr == "inf" else float(psnr),
+        **{name: float(d[name]) for name in ("mse", "rmse", "mae", "ssim", "npcr", "uaci")},
+    )
 
 
 def random_image(rng, width, height):

@@ -5,7 +5,6 @@ import pytest
 
 from bioshares import (
     GrayImage,
-    MetricsReport,
     PermutationKey,
     load_manifest,
     load_pgm,
@@ -16,7 +15,7 @@ from bioshares import (
 )
 from bioshares.cli import main
 
-from helpers import random_image
+from helpers import random_image, report_from_dict
 
 
 @pytest.fixture
@@ -29,6 +28,12 @@ def original(tmp_path):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+# seed strings Python's int() accepts but a u64 written as decimal digits is not
+BAD_SEED_TEXTS = [" 12 ", "1_2", "+7", "\u0663", "-1", "", "0x10", "18446744073709551616"]
+BAD_SEED_IDS = ["spaces", "underscore", "plus", "arabic-indic-digit", "negative", "empty",
+                "hex", "above-u64"]
 
 
 class TestEnroll:
@@ -133,6 +138,24 @@ class TestEnroll:
         _, path = original
         assert run(["enroll", path, "--out", tmp_path, "--method", "m3",
                     "--seeds", "1,2"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--seed", "--seeds"])
+    @pytest.mark.parametrize("text", BAD_SEED_TEXTS, ids=BAD_SEED_IDS)
+    def test_non_decimal_seed_is_usage_error(self, tmp_path, original, capsys, flag, text):
+        _, path = original
+        seeds = text if flag == "--seed" else f"11,22,{text},44"
+        with pytest.raises(SystemExit) as err:
+            run(["enroll", path, "--out", tmp_path / "out", "--method", "m3", flag, seeds])
+        assert err.value.code == 2
+        assert "seed must be decimal digits" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_and_leading_zeros_accepted(self, tmp_path, original):
+        _, path = original
+        assert run(["enroll", path, "--out", tmp_path / "a", "--method", "m3",
+                    "--seeds", "18446744073709551615,007,0,1"]) == 0
+        seeds = load_manifest(tmp_path / "a" / "alice_manifest.json").params.seeds
+        assert seeds == (2**64 - 1, 7, 0, 1)
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert run(["enroll", tmp_path / "absent.pgm", "--out", tmp_path]) == 3
@@ -242,6 +265,26 @@ class TestAuthenticate:
         assert not (tmp_path / "rec").exists()
 
 
+    @pytest.mark.parametrize(
+        "rewrite",
+        [lambda t: f" {t} ", lambda t: f"{t[:1]}_{t[1:]}", lambda t: f"+{t}",
+         lambda t: t.translate({ord(c): 0x0660 + int(c) for c in "0123456789"}),
+         lambda t: "-" + t, lambda t: "", lambda t: t + "0" * 20],
+        ids=["spaces", "underscore", "plus", "arabic-indic-digits", "negative", "empty",
+             "above-u64"],
+    )
+    def test_non_decimal_manifest_seed_is_format_error(
+            self, tmp_path, enrolled, capsys, rewrite):
+        # each rewrite names the same integer for Python's int() or fails it,
+        # yet none is a decimal u64 string
+        _, manifest_path, _ = enrolled
+        doc = json.loads(manifest_path.read_text())
+        doc["seeds"][1] = rewrite(doc["seeds"][1])
+        manifest_path.write_text(json.dumps(doc))
+        assert run(["authenticate", manifest_path, "--out", tmp_path / "rec"]) == 5
+        assert "'seeds' is invalid: seed must be decimal digits" in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
+
     def test_share_file_outside_store_is_format_error(self, tmp_path, enrolled, capsys):
         # a valid share placed next to the store must still not be read
         _, manifest_path, store = enrolled
@@ -286,7 +329,7 @@ class TestEvaluate:
         report_path = tmp_path / "report.json"
         assert run(["evaluate", path, manifest_path, "--report", report_path]) == 0
         doc = json.loads(report_path.read_text())
-        averaged = MetricsReport.from_dict(doc["metrics"])
+        averaged = report_from_dict(doc["metrics"])
         assert averaged.cr == 1.0
         assert averaged.mse == 0.0
         assert averaged.psnr == float("inf")
@@ -305,8 +348,8 @@ class TestEvaluate:
                     "--report", report_path]) == 0
         doc = json.loads(report_path.read_text())
         assert doc["pairs"] == 4
-        averaged = MetricsReport.from_dict(doc["metrics"])
-        per_share = [MetricsReport.from_dict(d) for d in doc["per_share"]]
+        averaged = report_from_dict(doc["metrics"])
+        per_share = [report_from_dict(d) for d in doc["per_share"]]
         assert averaged.npcr == pytest.approx(sum(r.npcr for r in per_share) / 4)
 
     def test_dimension_mismatch_is_format_error(self, tmp_path, original):

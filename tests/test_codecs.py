@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bioshares import (
     BmpError,
@@ -14,7 +15,7 @@ from bioshares import (
     write_pgm_file,
 )
 
-from helpers import build_bmp_8bit, build_bmp_24bit, gray_images
+from helpers import build_bmp_8bit, build_bmp_24bit, gray_images, load_pgm_token_loop
 
 
 class TestPgmReader:
@@ -79,6 +80,92 @@ class TestPgmReader:
             load_pgm(b"P5\n1 1\n300\n\x00")
         assert err.value.offset == 7
         assert "byte offset 7" in str(err.value)
+
+
+def decode_outcome(decode, data):
+    """Dims and pixels, or the class, text and offset of what was raised."""
+    try:
+        img = decode(data)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    return img.dims, img.data.tobytes()
+
+
+WHITESPACE = st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c"])
+STRAY = st.sampled_from([b"a", b"x", b"-", b"+", b"_", b".", b"\x00", b"\x1c", b"\x85", b"\xa0"])
+COMMENT = st.builds(
+    lambda text, end: b"#" + b"".join(text) + end,
+    st.lists(st.one_of(WHITESPACE.filter(lambda c: c != b"\n"), STRAY,
+                       st.sampled_from([b"#", b"7", b"255"])), max_size=5),
+    st.sampled_from([b"\n", b"\n", b"\n", b""]),  # b"": a comment that runs to the end
+)
+SEPARATOR = st.one_of(st.lists(WHITESPACE, min_size=1, max_size=3).map(b"".join), COMMENT)
+HEADER_SEPARATOR = st.one_of(  # a header comment that ends its line
+    st.lists(WHITESPACE, min_size=1, max_size=3).map(b"".join),
+    COMMENT.map(lambda c: c if c.endswith(b"\n") else c + b"\n"),
+)
+VALUE = st.integers(0, 300).map(lambda v: b"%d" % v)  # above any maxval <= 255 at times
+TOKEN = st.one_of(
+    VALUE,
+    st.builds(lambda zeros, v: b"0" * zeros + v, st.integers(1, 3), VALUE),
+    st.builds(lambda v, c: v + c, VALUE, STRAY),  # 12a-style
+    STRAY,
+)
+
+
+@st.composite
+def pgm_files(draw):
+    """PGM files of up to 4x4 pixels. Headers mix separators, comments and
+    out-of-range sizes; P2 bodies mix values, leading zeros, values above
+    maxval, every whitespace byte, comments and stray bytes."""
+    kind = draw(st.sampled_from(["p2"] * 6 + ["p5", "odd-header"]))
+    odd = kind == "odd-header"
+    w, h = draw(st.integers(0 if odd else 1, 4)), draw(st.integers(0 if odd else 1, 4))
+    maxval = draw(st.sampled_from([0, 1, 9, 15, 200, 255, 256] if odd else [1, 9, 15, 200, 255]))
+    seps = [draw(SEPARATOR if odd else HEADER_SEPARATOR) for _ in range(3)]
+    header = b"%s%d%s%d%s%d" % (seps[0], w, seps[1], h, seps[2], maxval)
+    if kind == "p5":  # a P5 payload after one separator byte
+        head = draw(st.one_of(WHITESPACE, STRAY))
+        return b"P5" + header + head + draw(st.binary(min_size=w * h - 1, max_size=w * h + 1))
+    if draw(st.booleans()):  # enough values within maxval, so most of these decode
+        token = st.integers(0, maxval).map(lambda v: b"%d" % v)
+        count = w * h + draw(st.integers(0, 2))
+    else:
+        token, count = TOKEN, draw(st.integers(0, w * h + 3))
+    pairs = draw(st.lists(st.tuples(SEPARATOR, token), min_size=count, max_size=count))
+    tail = draw(st.one_of(st.just(b""), SEPARATOR, st.builds(bytes.__add__, SEPARATOR, TOKEN)))
+    return b"P2" + header + b"".join(s + t for s, t in pairs) + tail
+
+
+class TestAgainstTokenLoop:
+    """The regex header and whole-array P2 reader decode, or fail, exactly as
+    the reader that takes one token at a time."""
+
+    @given(pgm_files())
+    @settings(max_examples=500)
+    def test_same_pixels_or_same_error(self, data):
+        assert decode_outcome(load_pgm, data) == decode_outcome(load_pgm_token_loop, data)
+
+    @pytest.mark.parametrize("data", [
+        b"P2 3 1 255 1 2 3 trailing junk",  # values past the last pixel are not read
+        b"P2 3 1 255 1 #c 2#\r3\n3",  # comments end at a newline only
+        b"P2 2 2 9 1 2 3a 4",  # a token ends at a stray byte: 3 of 4 values
+        b"P2 2 2 9 1 x 10 4",  # the stray byte ends the values before 10 is read
+        b"P2 2 2 9 1 10 3",  # over maxval before a short count
+        b"P2 2 1 255 " + b"7" * 5000 + b" 1",  # past int()'s digit limit
+        b"P2 2 1 9 10 " + b"7" * 5000,  # over maxval reported first, in order
+        b"P2 2 1 255 " + b"0" * 4000 + b"12 3",
+    ])
+    def test_edge_cases(self, data):
+        assert decode_outcome(load_pgm, data) == decode_outcome(load_pgm_token_loop, data)
+
+    def test_iitd_sized_file(self):
+        rng = np.random.default_rng(7)
+        values = rng.integers(0, 256, 320 * 240)
+        rows = (b" ".join(b"%d" % v for v in values[r * 320:(r + 1) * 320]) for r in range(240))
+        data = b"P2\n# generated\n320 240\n255\n" + b"\n".join(rows) + b"\n"
+        assert load_pgm(data) == GrayImage(320, 240, values)
+        assert decode_outcome(load_pgm, data) == decode_outcome(load_pgm_token_loop, data)
 
 
 class TestPgmWriter:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bioshares import (
     ConstantImageError,
@@ -24,7 +25,15 @@ from bioshares import (
     xor_images,
 )
 
-from helpers import image_pairs, random_image
+from helpers import (
+    float_correlation,
+    float_mae,
+    float_mse,
+    float_ssim,
+    image_pairs,
+    random_image,
+    report_from_dict,
+)
 
 ALL_ZERO = GrayImage.filled(4, 4, 0)
 ALL_255 = GrayImage.filled(4, 4, 255)
@@ -196,9 +205,9 @@ class TestReportAll:
         report = report_all(ramp(), ramp())
         d = report.to_dict()
         assert d["psnr"] == "inf"
-        assert MetricsReport.from_dict(d) == report
+        assert report_from_dict(d) == report
         na = report_all(ALL_ZERO, ramp())
-        assert MetricsReport.from_dict(na.to_dict()) == na
+        assert report_from_dict(na.to_dict()) == na
 
 
 class TestMeanReports:
@@ -220,3 +229,60 @@ class TestMeanReports:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mean_reports([])
+
+
+MEASURES = [(correlation, float_correlation), (mse, float_mse), (mae, float_mae),
+            (ssim, float_ssim)]
+
+
+def outcome(measure, a, b):
+    """The measure's bits, or the class and text of what it raised."""
+    try:
+        return float(measure(a, b)).hex()
+    except ConstantImageError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def oracle_pairs(draw):
+    """Pairs from 1x2 to 64x64: independent noise, a small perturbation,
+    identical images, or a constant image on either side."""
+    w = draw(st.integers(1, 64))
+    h = draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = random_image(rng, w, h)
+    kind = draw(st.sampled_from(["noise", "nudge", "same", "constant-a", "constant-b"]))
+    if kind == "noise":
+        b = random_image(rng, w, h)
+    elif kind == "nudge":
+        b = GrayImage(w, h, np.clip(a.data + rng.integers(-3, 4, w * h), 0, 255))
+    elif kind == "same":
+        b = GrayImage(w, h, a.data)
+    else:
+        const = GrayImage.filled(w, h, draw(st.integers(0, 255)))
+        a, b = (const, a) if kind == "constant-a" else (a, const)
+    return a, b
+
+
+class TestFloatFormulaOracle:
+    """Integer-sum mse/mae and the one-buffer centred sums equal the float64
+    formulas bit for bit."""
+
+    @given(oracle_pairs())
+    @settings(max_examples=300)
+    def test_small_and_mid_sizes(self, pair):
+        for measure, oracle in MEASURES:
+            assert outcome(measure, *pair) == outcome(oracle, *pair), measure.__name__
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_megapixel(self, seed):
+        rng = np.random.default_rng(seed)
+        a = random_image(rng, 1024, 1024)
+        for b in (random_image(rng, 1024, 1024), GrayImage(1024, 1024, a.data ^ 1)):
+            for measure, oracle in MEASURES:
+                assert outcome(measure, a, b) == outcome(oracle, a, b), measure.__name__
+
+    def test_constant_images(self):
+        for measure, oracle in MEASURES:
+            for pair in ((ALL_ZERO, ALL_255), (ALL_255, ALL_255), (ALL_ZERO, ramp())):
+                assert outcome(measure, *pair) == outcome(oracle, *pair), measure.__name__
