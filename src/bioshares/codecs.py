@@ -37,13 +37,29 @@ _STRAY = re.compile(rb"[^0-9%s]" % _WS)
 _DIGITS = re.compile(rb"[0-9]+")
 
 
+# no PGM field needs more significant digits than 2**64 has; a longer token
+# reads as _TOO_LONG, over every maxval, and is never converted digit by digit
+_MAX_DIGITS = 20
+_TOO_LONG = 10**_MAX_DIGITS
+
+
+def _decimal(token: bytes) -> int:
+    """Value of an ASCII digit run; _TOO_LONG past _MAX_DIGITS significant digits."""
+    digits = token.lstrip(b"0")
+    return int(digits or b"0") if len(digits) <= _MAX_DIGITS else _TOO_LONG
+
+
 def _read_uint(buf: bytes, pos: int, what: str) -> tuple[int, int, int]:
     """Read a decimal token; returns (value, token_start, next_pos)."""
     start = _SPACE.match(buf, pos).end()
     token = _DIGITS.match(buf, start)
     if token is None:
         raise PgmError(f"malformed header: expected {what}", offset=start)
-    return int(token[0]), start, token.end()
+    value = _decimal(token[0])
+    if value == _TOO_LONG:
+        raise PgmError(f"malformed header: {what} has more than {_MAX_DIGITS} digits",
+                       offset=start)
+    return value, start, token.end()
 
 
 def load_pgm(data: bytes) -> GrayImage:
@@ -93,19 +109,20 @@ def _p2_values(data: bytes, pos: int, need: int, maxval: int) -> np.ndarray:
     """The first `need` P2 values after byte `pos`. Comments are blanked to
     spaces, so offsets hold; values end at the first byte that is neither a
     digit nor whitespace; a value above maxval is reported before a short
-    count, in the order a token-at-a-time reader meets them."""
+    count, in the order a token-at-a-time reader meets them. A value of
+    more than _MAX_DIGITS significant digits is above maxval, unconverted."""
     body = _COMMENT.sub(lambda m: b" " * len(m[0]), data[pos:])
     stray = _STRAY.search(body)
     tokens = body[: stray.start() if stray else None].split(None, need)[:need]
     try:
         values = list(map(int, tokens))
-        bad = max(values, default=0) > maxval
-    except ValueError:  # a token beyond int()'s digit limit; raised again below, in order
-        bad = True
-    if bad:
-        for token, match in zip(tokens, _DIGITS.finditer(body)):
-            if int(token) > maxval:
-                raise PgmError(f"pixel value {int(token)} exceeds maxval {maxval}",
+    except ValueError:  # a token beyond int()'s digit limit
+        values = list(map(_decimal, tokens))
+    if max(values, default=0) > maxval:
+        for value, match in zip(values, _DIGITS.finditer(body)):
+            if value > maxval:
+                shown = value if value < _TOO_LONG else f"of more than {_MAX_DIGITS} digits"
+                raise PgmError(f"pixel value {shown} exceeds maxval {maxval}",
                                offset=pos + match.start())
     if len(tokens) < need:
         raise PgmError(f"truncated pixel payload: expected {need} values, found {len(tokens)}",

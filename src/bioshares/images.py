@@ -143,6 +143,11 @@ def transform_lut(transform: BitTransform, direction: str = "left") -> np.ndarra
 def bit_transform(
     img: GrayImage, transform: BitTransform = REVERSE8, direction: str = "left"
 ) -> GrayImage:
-    """Apply the per-pixel transform to every pixel of the image."""
-    lut = transform_lut(transform, direction)
-    return GrayImage(img.width, img.height, lut[img.data])
+    """Apply the per-pixel transform to every pixel of the image.
+
+    The lookup table is applied as a `bytes.translate` table, one byte per
+    byte, so no pixel is widened to an index.
+    """
+    table = transform_lut(transform, direction).tobytes()
+    pixels = img.data.tobytes().translate(table)
+    return GrayImage(img.width, img.height, np.frombuffer(pixels, dtype=np.uint8))

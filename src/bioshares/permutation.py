@@ -59,34 +59,55 @@ def derive_permutation(key: PermutationKey) -> np.ndarray:
     steps by target in step order, and pointer doubling resolves every
     chain in O(log length) whole-array rounds.
 
+    The passes reuse their buffers: the targets become the sort key in
+    place and the key becomes the steps in place, the group heads are found
+    once and every per-group value is gathered at them, and one scatter
+    writes the result.
+
     Nothing is memoised: the array is key material and lives only as long as
     its caller keeps it.
     """
     length = key.length
-    # step 0 swaps position 0 with itself, so out[0] follows the same rule
-    targets = np.zeros(length, dtype=np.int64)
-    targets[:0:-1] = splitmix64(key.seed, length - 1) % np.arange(length, 1, -1, dtype=np.uint64)
-    sort_key = (targets << 32) | np.arange(length, dtype=np.int64)
-    del targets
+    # sort_key[k] = t[k] << 32 | k; step 0 swaps position 0 with itself,
+    # so out[0] follows the same rule
+    sort_key = np.zeros(length, dtype=np.int64)
+    draws = splitmix64(key.seed, length - 1)
+    draws %= np.arange(length, 1, -1, dtype=np.uint64)
+    sort_key[:0:-1] = draws
+    del draws
+    sort_key <<= 32
+    sort_key |= np.arange(length, dtype=np.int64)
     sort_key.sort()
-    group, step = sort_key >> 32, sort_key & 0xFFFFFFFF
-    del sort_key
+    group = sort_key >> 32
+    step = sort_key
+    step &= 0xFFFFFFFF
     # head[i]: entry i is the first, so smallest, step of its target group
     head = np.ones(length, dtype=bool)
     np.not_equal(group[1:], group[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    del head
+    firsts = group[heads]  # every target once, in order
+    del group
     chain = np.arange(length, dtype=np.int64)
-    chain[group[head]] = step[head]
+    chain[firsts] = step[heads]
     while True:
         jumped = chain[chain]
-        if np.array_equal(jumped, chain):
+        if (jumped == chain).all():
             break
         chain = jumped
     del jumped
-    # the last entry of a group is its first writer in time, which finds the
-    # original index; every other entry finds what the next entry left
+    # every entry finds what the next entry of its group left, except the
+    # last, the group's first writer in time, which finds the original index
+    found = np.empty(length, dtype=np.int64)
+    found[:-1] = chain[step[1:]]
+    del chain
+    lasts = heads  # a group ends where the next begins
+    lasts[:-1] = lasts[1:]
+    lasts -= 1
+    lasts[-1] = length - 1
+    found[lasts] = firsts
     out = np.empty(length, dtype=np.int64)
-    out[step[:-1]] = np.where(head[1:], group[:-1], chain[step[1:]])
-    out[step[-1]] = group[-1]
+    out[step] = found
     out.setflags(write=False)
     return out
 

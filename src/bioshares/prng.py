@@ -32,14 +32,23 @@ def parse_seed(text: str) -> int:
 
 
 def splitmix64(seed: int, count: int) -> np.ndarray:
-    """First `count` SplitMix64 outputs for `seed`, as a uint64 array."""
+    """First `count` SplitMix64 outputs for `seed`, as a uint64 array.
+
+    Every step of the formula runs in place on the output buffer; the
+    xor-shifts write their shifted copy into one scratch buffer.
+    """
     if count < 0:
         raise ValueError("count must be non-negative")
-    steps = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK) + np.uint64(_GOLDEN) * steps
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK)
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= np.uint64(_MIX1)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= np.uint64(_MIX2)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 def mix_seed(seed: int, index: int) -> int:
@@ -54,5 +63,6 @@ def seed_sequence(master: int, count: int) -> list[int]:
 
 
 def random_bytes(seed: int, count: int) -> np.ndarray:
-    """`count` uint8 values, one low byte per SplitMix64 output."""
-    return (splitmix64(seed, count) & np.uint64(0xFF)).astype(np.uint8)
+    """`count` uint8 values, one low byte per SplitMix64 output (the
+    narrowing cast keeps the low byte)."""
+    return splitmix64(seed, count).astype(np.uint8)

@@ -1,8 +1,9 @@
 """Shared test helpers: hypothesis strategies for images, reference
 implementations that the package's whole-array code must reproduce bit for
-bit (the sequential Fisher-Yates shuffle, the float64 formulas of the
-measures, the token-at-a-time PGM reader), a reader for JSON metric reports
-and a small BMP writer kept independent of the package's own decoder."""
+bit (the sequential Fisher-Yates shuffle, the keyed-randomness kernels as
+they were before they ran in place, the float64 formulas of the measures,
+the token-at-a-time PGM reader), a reader for JSON metric reports and a
+small BMP writer kept independent of the package's own decoder."""
 
 import math
 import struct
@@ -17,6 +18,7 @@ from bioshares import (
     PgmError,
     require_same_dims,
     splitmix64,
+    transform_lut,
 )
 from bioshares.metrics import SSIM_C1, SSIM_C2
 
@@ -63,6 +65,57 @@ def fisher_yates(seed, length):
         perm[i], perm[j] = perm[j], perm[i]
         i -= 1
     return perm
+
+
+def splitmix64_reference(seed, count):
+    """SplitMix64 with a fresh temporary per operator."""
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    steps = np.arange(1, count + 1, dtype=np.uint64)
+    z = np.uint64(seed & (2**64 - 1)) + np.uint64(0x9E3779B97F4A7C15) * steps
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def random_bytes_reference(seed, count):
+    """Low bytes of SplitMix64 by masking, then narrowing."""
+    return (splitmix64_reference(seed, count) & np.uint64(0xFF)).astype(np.uint8)
+
+
+def bit_transform_reference(img, transform, direction="left"):
+    """The transform as a numpy fancy-index lookup."""
+    lut = transform_lut(transform, direction)
+    return GrayImage(img.width, img.height, lut[img.data])
+
+
+def derive_permutation_reference(key):
+    """The one-sort, pointer-doubling derivation with a fresh array per
+    pass and boolean-mask compressions at the group heads."""
+    length = key.length
+    targets = np.zeros(length, dtype=np.int64)
+    targets[:0:-1] = splitmix64_reference(key.seed, length - 1) % np.arange(
+        length, 1, -1, dtype=np.uint64)
+    sort_key = (targets << 32) | np.arange(length, dtype=np.int64)
+    del targets
+    sort_key.sort()
+    group, step = sort_key >> 32, sort_key & 0xFFFFFFFF
+    del sort_key
+    head = np.ones(length, dtype=bool)
+    np.not_equal(group[1:], group[:-1], out=head[1:])
+    chain = np.arange(length, dtype=np.int64)
+    chain[group[head]] = step[head]
+    while True:
+        jumped = chain[chain]
+        if np.array_equal(jumped, chain):
+            break
+        chain = jumped
+    del jumped
+    out = np.empty(length, dtype=np.int64)
+    out[step[:-1]] = np.where(head[1:], group[:-1], chain[step[1:]])
+    out[step[-1]] = group[-1]
+    out.setflags(write=False)
+    return out
 
 
 def _float64(img):
@@ -125,27 +178,46 @@ def _skip_space(buf, pos):
     return pos
 
 
+PGM_MAX_DIGITS = 20
+
+
 def _read_uint(buf, pos, what):
-    """Read a decimal token; returns (value, token_start, next_pos)."""
+    """Read a decimal token; returns (value, token_start, next_pos). The
+    value is None when the token has more than PGM_MAX_DIGITS significant
+    digits."""
     pos = _skip_space(buf, pos)
     start = pos
     n = len(buf)
+    while pos < n and buf[pos] == 0x30:
+        pos += 1
+    first = pos  # first significant digit
     while pos < n and 0x30 <= buf[pos] <= 0x39:
         pos += 1
     if pos == start:
         raise PgmError(f"malformed header: expected {what}", offset=start)
-    return int(buf[start:pos]), start, pos
+    value = int(buf[first:pos] or b"0") if pos - first <= PGM_MAX_DIGITS else None
+    return value, start, pos
+
+
+def _read_header_uint(buf, pos, what):
+    value, start, pos = _read_uint(buf, pos, what)
+    if value is None:
+        raise PgmError(f"malformed header: {what} has more than {PGM_MAX_DIGITS} digits",
+                       offset=start)
+    return value, start, pos
 
 
 def load_pgm_token_loop(data):
     """Reference PGM reader that walks the bytes one token at a time: the
-    header, then each P2 value, checked against maxval as it is read."""
+    header, then each P2 value, checked against maxval as it is read. Leading
+    zeros are skipped; a token with more than PGM_MAX_DIGITS significant
+    digits is rejected (header) or over maxval (P2 value) unconverted."""
     if len(data) < 2 or data[0:1] != b"P" or data[1:2] not in (b"2", b"5"):
         raise PgmError("not a P2/P5 PGM", offset=0)
     binary = data[1:2] == b"5"
-    width, wstart, pos = _read_uint(data, 2, "width")
-    height, hstart, pos = _read_uint(data, pos, "height")
-    maxval, mstart, pos = _read_uint(data, pos, "maxval")
+    width, wstart, pos = _read_header_uint(data, 2, "width")
+    height, hstart, pos = _read_header_uint(data, pos, "height")
+    maxval, mstart, pos = _read_header_uint(data, pos, "maxval")
     if width <= 0:
         raise PgmError(f"malformed header: width {width}", offset=wstart)
     if height <= 0:
@@ -187,6 +259,11 @@ def load_pgm_token_loop(data):
                 f"truncated pixel payload: expected {need} values, found {i}",
                 offset=len(data),
             ) from None
+        if v is None:
+            raise PgmError(
+                f"pixel value of more than {PGM_MAX_DIGITS} digits exceeds maxval {maxval}",
+                offset=vstart,
+            )
         if v > maxval:
             raise PgmError(f"pixel value {v} exceeds maxval {maxval}", offset=vstart)
         values[i] = v

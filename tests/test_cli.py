@@ -172,6 +172,14 @@ class TestEnroll:
         assert run(["enroll", path, "--out", tmp_path / "out"]) == 5
         assert "truncated pixel payload" in capsys.readouterr().err
 
+    def test_header_field_past_int_digit_limit_is_format_error(self, tmp_path, capsys):
+        path = tmp_path / "wide.pgm"
+        path.write_bytes(b"P2\n" + b"1" * 5000 + b" 1\n255\n1\n")
+        assert run(["enroll", path, "--out", tmp_path / "out"]) == 5
+        err = capsys.readouterr().err
+        assert ("format error: malformed header: width has more than 20 digits"
+                " (byte offset 3)") in err
+
     def test_unknown_flag_exits_two(self, tmp_path, original):
         _, path = original
         with pytest.raises(SystemExit) as err:
@@ -227,6 +235,24 @@ class TestAuthenticate:
 
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert run(["authenticate", tmp_path / "absent.json"]) == 3
+
+    def test_share_value_past_int_digit_limit_is_integrity_error(self, tmp_path, enrolled, capsys):
+        _, manifest_path, store = enrolled
+        share = load_pgm((store / "alice_share_1.pgm").read_bytes())
+        (store / "alice_share_1.pgm").write_bytes(
+            b"P2 24 16 255 " + b"9" * 5000 + b" " + b" ".join(b"%d" % v for v in share.data[1:]))
+        assert run(["authenticate", manifest_path, "--out", tmp_path / "rec"]) == 4
+        err = capsys.readouterr().err
+        assert "share file alice_share_1.pgm is not a valid share: pixel value of more than" in err
+
+    def test_share_rewritten_as_p2_with_long_leading_zeros_still_authenticates(
+            self, tmp_path, enrolled):
+        img, manifest_path, store = enrolled
+        share = load_pgm((store / "alice_share_1.pgm").read_bytes())
+        (store / "alice_share_1.pgm").write_bytes(
+            b"P2 24 16 255 " + b" ".join(b"0" * 5000 + b"%d" % v for v in share.data))
+        assert run(["authenticate", manifest_path, "--out", tmp_path / "rec"]) == 0
+        assert load_pgm((tmp_path / "rec" / "alice_revealed_original.pgm").read_bytes()) == img
 
     def test_seed_override_with_wrong_count_is_usage_error(self, tmp_path, enrolled):
         _, manifest_path, _ = enrolled
@@ -402,6 +428,17 @@ class TestBatch:
         err = capsys.readouterr().err
         assert "skipping broken.pgm: truncated pixel payload" in err
         assert "skipped 1 unreadable/undecodable files\n" in err
+
+    def test_digit_runs_past_int_limit_decode_or_are_skipped(self, tmp_path, corpus, capsys):
+        (corpus / "zeros.pgm").write_bytes(b"P2 2 1 255 " + b"0" * 5000 + b"7 1")
+        (corpus / "nines.pgm").write_bytes(b"P2 2 1 255 " + b"9" * 5000 + b" 1")
+        report = tmp_path / "report.json"
+        assert run(["batch", corpus, "--report", report, "--seed", "4"]) == 0
+        doc = json.loads(report.read_text())
+        assert (doc["images"], doc["skipped"]) == (7, 1)
+        err = capsys.readouterr().err
+        assert ("skipping nines.pgm: pixel value of more than 20 digits exceeds maxval 255"
+                " (byte offset 11)\n") in err
 
     def test_share_count_above_max_is_usage_error(self, tmp_path, corpus, capsys):
         report = tmp_path / "report.json"

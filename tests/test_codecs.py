@@ -74,6 +74,30 @@ class TestPgmReader:
         with pytest.raises(PgmError, match="width 0"):
             load_pgm(b"P5 0 2 255 ")
 
+    def test_digit_runs_past_int_limit(self):
+        # 5,000 digits is past int()'s default limit of 4,300; leading zeros
+        # are dropped, and a value of more than 20 digits is never converted
+        assert load_pgm(b"P2 2 1 255 " + b"0" * 5000 + b"7 1") == GrayImage(2, 1, [7, 1])
+        assert load_pgm(b"P2 " + b"0" * 5000 + b"2 1 255 7 1") == GrayImage(2, 1, [7, 1])
+        with pytest.raises(PgmError,
+                           match="pixel value of more than 20 digits exceeds maxval 255") as err:
+            load_pgm(b"P2 2 1 255 7 " + b"9" * 5000)
+        assert err.value.offset == 13
+        for field, data in [("width", b"P5 " + b"1" * 5000 + b" 1 255 "),
+                            ("height", b"P5 1 " + b"1" * 5000 + b" 255 "),
+                            ("maxval", b"P5 1 1 " + b"1" * 5000 + b" ")]:
+            with pytest.raises(PgmError, match=f"{field} has more than 20 digits") as err:
+                load_pgm(data)
+            assert err.value.offset == data.index(b"1" * 5000)
+
+    def test_twenty_significant_digits_still_read_exactly(self):
+        with pytest.raises(PgmError, match="pixel value 99999999999999999999 exceeds"):
+            load_pgm(b"P2 1 1 255 000" + b"9" * 20)
+        with pytest.raises(PgmError, match="pixel value of more than 20 digits exceeds"):
+            load_pgm(b"P2 1 1 255 1" + b"0" * 20)
+        with pytest.raises(PgmError, match="header asks for 10000000000000000000 values"):
+            load_pgm(b"P2 1" + b"0" * 19 + b" 1 255 1")
+
     def test_error_carries_offset(self):
         # maxval token starts at byte 7 of b"P5\n1 1\n300\n..."
         with pytest.raises(PgmError) as err:
@@ -155,6 +179,14 @@ class TestAgainstTokenLoop:
         b"P2 2 1 255 " + b"7" * 5000 + b" 1",  # past int()'s digit limit
         b"P2 2 1 9 10 " + b"7" * 5000,  # over maxval reported first, in order
         b"P2 2 1 255 " + b"0" * 4000 + b"12 3",
+        b"P2 2 1 255 " + b"0" * 5000 + b"7 1",  # leading zeros past int()'s limit
+        b"P2 2 1 255 1 " + b"0" * 4000 + b"9" * 21,  # over 20 digits, within the limit
+        b"P2 2 1 255 " + b"9" * 20 + b" 1",  # 20 digits are converted
+        b"P2 2 2 9 1 " + b"9" * 5000 + b" 10 x",  # the first value over maxval is reported
+        b"P2 " + b"0" * 5000 + b"1 1 255 3",
+        b"P2 1 " + b"2" * 5000 + b" 255 3",
+        b"P5 1 1 " + b"0" * 5000 + b"255 \x07",
+        b"P5 1 1 " + b"2" * 21 + b" \x07",
     ])
     def test_edge_cases(self, data):
         assert decode_outcome(load_pgm, data) == decode_outcome(load_pgm_token_loop, data)
@@ -265,3 +297,84 @@ class TestSniffing:
     def test_unknown_magic(self):
         with pytest.raises(PgmError, match="unrecognised"):
             load_image(b"\x89PNG....")
+
+
+def _p2_bytes(img):
+    return b"P2\n%d %d\n255\n" % img.dims + b" ".join(b"%d" % v for v in img.data) + b"\n"
+
+
+FUZZ_SEEDS = [
+    _p2_bytes(GrayImage(3, 2, [0, 7, 255, 12, 9, 100])),
+    save_pgm(GrayImage(3, 2, [0, 7, 255, 12, 9, 100])),
+    b"P2 # c\n2 2\n15\n0 15\n# end\n3 4\n",
+    build_bmp_8bit(np.array([[1, 2, 3], [4, 5, 6]], dtype=np.uint8)),
+    build_bmp_8bit(np.array([[0, 1], [1, 0]], dtype=np.uint8),
+                   palette=[(10, 20, 30), (200, 100, 0)], clr_used=2),
+    build_bmp_24bit(np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3) * 13),
+]
+FUZZ_MAX_BYTES = 16_384
+DIGIT_RUN = st.builds(
+    lambda digit, count, tail: digit * count + tail,
+    st.sampled_from([b"0", b"9", b"1"]),
+    st.one_of(st.integers(1, 25), st.integers(4290, 6000)),  # around int()'s 4,300-digit limit
+    st.sampled_from([b"", b"7", b"256", b" "]),
+)
+
+
+@st.composite
+def mutated_images(draw):
+    """A valid P2, P5 or BMP file with a few byte edits, truncations,
+    repeats and inserted digit runs, at most FUZZ_MAX_BYTES long."""
+    data = bytearray(draw(st.sampled_from(FUZZ_SEEDS)))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(["set", "insert", "digits", "delete", "truncate", "repeat"]))
+        if edit == "set" and at < len(data):
+            data[at] = draw(st.integers(0, 255))
+        elif edit == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=8))
+        elif edit == "digits":
+            data[at:at] = draw(DIGIT_RUN)
+        elif edit == "delete":
+            del data[at:at + draw(st.integers(1, 8))]
+        elif edit == "truncate":
+            del data[at:]
+        elif edit == "repeat":
+            data[at:at] = data[at:at + draw(st.integers(1, 64))]
+    return bytes(data[:FUZZ_MAX_BYTES])
+
+
+def decodes_or_fails_cleanly(data):
+    try:
+        img = load_image(data)
+    except (PgmError, BmpError) as exc:
+        assert str(exc)
+        return
+    assert isinstance(img, GrayImage) and img.pixel_count >= 1
+
+
+class TestLoadImageFuzz:
+    """Whatever the bytes, load_image returns an image or raises PgmError or
+    BmpError; no other exception escapes."""
+
+    @given(st.binary(max_size=FUZZ_MAX_BYTES))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes(self, data):
+        decodes_or_fails_cleanly(data)
+
+    @given(st.sampled_from([b"P2", b"P5", b"BM"]), st.binary(max_size=512))
+    @settings(max_examples=300, deadline=None)
+    def test_known_magic_then_arbitrary_bytes(self, magic, rest):
+        decodes_or_fails_cleanly(magic + rest)
+
+    @given(mutated_images())
+    @settings(max_examples=500, deadline=None)
+    def test_mutated_valid_files(self, data):
+        decodes_or_fails_cleanly(data)
+        if data[:2] in (b"P2", b"P5"):
+            assert decode_outcome(load_pgm, data) == decode_outcome(load_pgm_token_loop, data)
+
+    @pytest.mark.parametrize("seed", FUZZ_SEEDS, ids=["p2", "p5", "p2-comments", "bmp8",
+                                                       "bmp8-palette", "bmp24"])
+    def test_seed_files_decode(self, seed):
+        assert isinstance(load_image(seed), GrayImage)

@@ -1,0 +1,86 @@
+"""The keyed-randomness kernels run in place, gather at group heads and
+apply the bit transform as a byte table; each must equal, bit for bit, the
+formulation it replaced (kept in helpers.py as a reference)."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bioshares import (
+    BitTransform,
+    GrayImage,
+    PermutationKey,
+    bit_transform,
+    derive_permutation,
+    random_bytes,
+    splitmix64,
+)
+
+from helpers import (
+    bit_transform_reference,
+    derive_permutation_reference,
+    gray_images,
+    random_bytes_reference,
+    splitmix64_reference,
+)
+
+SEEDS = st.integers(0, 2**64 - 1)
+TRANSFORMS = [BitTransform("reverse8")] + [BitTransform("rotate", k) for k in range(1, 8)]
+TRANSFORM_IDS = [t.descriptor() for t in TRANSFORMS]
+
+
+def same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSplitMix64:
+    @given(SEEDS, st.integers(0, 5000))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, seed, count):
+        assert same_array(splitmix64(seed, count), splitmix64_reference(seed, count))
+
+    @given(SEEDS, st.integers(0, 5000))
+    @settings(max_examples=200, deadline=None)
+    def test_random_bytes_match_reference(self, seed, count):
+        assert same_array(random_bytes(seed, count), random_bytes_reference(seed, count))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 0x0123456789ABCDEF])
+    def test_matches_reference_at_2_pow_20_outputs(self, seed):
+        assert same_array(splitmix64(seed, 2**20), splitmix64_reference(seed, 2**20))
+        assert same_array(random_bytes(seed, 2**20), random_bytes_reference(seed, 2**20))
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            splitmix64(1, -1)
+
+
+class TestBitTransform:
+    @pytest.mark.parametrize("direction", ["left", "right"])
+    @pytest.mark.parametrize("transform", TRANSFORMS, ids=TRANSFORM_IDS)
+    def test_every_byte_value(self, transform, direction):
+        img = GrayImage(256, 1, np.arange(256))
+        assert bit_transform(img, transform, direction) == bit_transform_reference(
+            img, transform, direction)
+
+    @given(gray_images(max_side=33), st.sampled_from(TRANSFORMS),
+           st.sampled_from(["left", "right"]))
+    @settings(max_examples=200, deadline=None)
+    def test_images_match_reference(self, img, transform, direction):
+        out = bit_transform(img, transform, direction)
+        assert out.dims == img.dims
+        assert same_array(out.data, bit_transform_reference(img, transform, direction).data)
+
+
+class TestDerivePermutation:
+    @pytest.mark.parametrize("length", [1, 2, 3, 10_304, 76_800, 2**20])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 0x0123456789ABCDEF])
+    def test_matches_reference(self, seed, length):
+        key = PermutationKey(seed, length)
+        assert same_array(derive_permutation(key), derive_permutation_reference(key))
+
+    @given(SEEDS, st.integers(1, 3000))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_at_any_length(self, seed, length):
+        key = PermutationKey(seed, length)
+        assert same_array(derive_permutation(key), derive_permutation_reference(key))
