@@ -18,7 +18,8 @@ class GrayImage:
     """Immutable 8-bit grayscale raster; pixels stored row-major.
 
     `data` accepts any integer array-like of length width*height with values
-    in [0, 255] and is normalised to a read-only uint8 copy.
+    in [0, 255] and is normalised to a read-only uint8 copy, except that a
+    contiguous 1-D uint8 view of immutable `bytes` is kept as it is.
     """
 
     width: int
@@ -36,8 +37,9 @@ class GrayImage:
                 raise ValueError(f"pixel values must be integers, got dtype {arr.dtype}")
             if int(arr.min()) < 0 or int(arr.max()) > 255:
                 raise ValueError("pixel values must lie in [0, 255]")
-        arr = np.array(arr, dtype=np.uint8).ravel()
-        arr.setflags(write=False)
+        if not (arr.dtype == np.uint8 and arr.strides == (1,) and isinstance(arr.base, bytes)):
+            arr = np.array(arr, dtype=np.uint8).ravel()
+            arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
     @classmethod

@@ -28,8 +28,8 @@ class IntegrityError(ValueError):
 
 
 def pixel_digest(img: GrayImage) -> str:
-    """Hex sha256 over the raw row-major pixel bytes."""
-    return hashlib.sha256(img.data.tobytes()).hexdigest()
+    """Hex sha256 over the raw row-major pixel bytes, read in place."""
+    return hashlib.sha256(img.data).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Share generation and exact reconstruction.
 
-Enrollment folds one secret image and n-1 covers into two XOR chains:
-a running XOR across the covers (temporary shares), then a prefix XOR over
-those (noisy shares); a per-pixel bit transform of the noisy shares yields
-the n stored shares. Authentication inverts the transform and peels both
-chains back off, which with the complete set of n shares is bit-exact.
+The paper builds two XOR chains from a secret S and covers C_1..C_{n-1}:
+T_1 = S, T_i = C_{i-1} ^ T_{i-1} and N_1 = T_1, N_i = T_i ^ N_{i-1}. Over
+X = (S, C_1, ..., C_{n-1}) they are one recurrence, N_1 = X_1, N_2 = X_2,
+N_i = X_i ^ N_{i-2}, since N_i = X_i ^ T_{i-1} ^ N_{i-1} and
+T_{i-1} ^ N_{i-1} = N_{i-2}. Share i is a per-pixel bit transform of N_i, so
+shares 1 and 2 depend on S and C_1 alone. Authentication inverts the
+transform, then X_i = N_i ^ N_{i-2}: bit-exact given all n shares.
 
 Cover strategies:
     m1  secret is the original; covers are externally supplied gray images
@@ -154,8 +156,8 @@ def make_covers(
 def enroll(secret: GrayImage, covers: Sequence[GrayImage], params: SchemeParams) -> ShareSet:
     """Run the share-generation chain over a secret and its covers.
 
-    temp[0] = secret, temp[i] = covers[i-1] ^ temp[i-1];
-    noisy[0] = temp[0], noisy[i] = temp[i] ^ noisy[i-1];
+    noisy = [secret, *covers], then noisy[i] ^= noisy[i-2] for i >= 2 in
+    ascending order: the paper's two chains as one (see the module docstring);
     share[i] = left bit transform of noisy[i].
     """
     covers = list(covers)
@@ -163,26 +165,20 @@ def enroll(secret: GrayImage, covers: Sequence[GrayImage], params: SchemeParams)
         raise ValueError(f"expected {params.n - 1} covers, got {len(covers)}")
     for cover in covers:
         require_same_dims(secret, cover)
-    temp = [secret]
-    for cover in covers:
-        temp.append(xor_images(cover, temp[-1]))
-    noisy = [temp[0]]
-    for ts in temp[1:]:
-        noisy.append(xor_images(ts, noisy[-1]))
+    noisy = [secret, *covers]
+    for i in range(2, len(noisy)):
+        noisy[i] = xor_images(noisy[i], noisy[i - 2])
     shares = tuple(bit_transform(ns, params.bit_transform, "left") for ns in noisy)
     return ShareSet(shares, params, secret.dims)
 
 
 def authenticate(share_set: ShareSet) -> ReconstructionResult:
-    """Invert the enrollment chain; requires the complete set of n shares."""
-    transform = share_set.params.bit_transform
-    noisy = [bit_transform(ss, transform, "right") for ss in share_set.shares]
-    temp = [noisy[0]]
-    for i in range(1, len(noisy)):
-        temp.append(xor_images(noisy[i], noisy[i - 1]))
-    secret = temp[0]
-    covers = tuple(xor_images(temp[i], temp[i - 1]) for i in range(1, len(temp)))
-    return ReconstructionResult(secret, covers)
+    """Invert the enrollment chain, x[i] = noisy[i] ^ noisy[i-2] for i >= 2, in
+    place from the top down; requires the complete set of n shares."""
+    x = [bit_transform(s, share_set.params.bit_transform, "right") for s in share_set.shares]
+    for i in range(len(x) - 1, 1, -1):
+        x[i] = xor_images(x[i], x[i - 2])
+    return ReconstructionResult(x[0], x[1:])
 
 
 def reveal_original(result: ReconstructionResult, params: SchemeParams) -> GrayImage:

@@ -8,6 +8,8 @@ from bioshares import (
     DimensionMismatchError,
     GrayImage,
     bit_transform,
+    load_image,
+    save_pgm,
     transform_lut,
     xor_images,
 )
@@ -35,6 +37,46 @@ class TestGrayImage:
         img = GrayImage(2, 1, [1, 2])
         with pytest.raises(ValueError):
             img.data[0] = 5
+
+    def test_bytes_backed_pixels_are_not_copied(self):
+        pixels = np.frombuffer(bytes([1, 2, 3, 4, 5, 6]), dtype=np.uint8)
+        img = GrayImage(3, 2, pixels)
+        assert np.shares_memory(img.data, pixels)
+        assert not img.data.flags.writeable
+
+    def test_bit_transform_and_p5_decode_keep_their_buffers(self):
+        # both hand GrayImage a view of a bytes object, which it keeps as is
+        img = bit_transform(GrayImage(2, 2, [1, 2, 3, 4]))
+        assert isinstance(img.data.base, bytes)
+        decoded = load_image(save_pgm(img))
+        assert isinstance(decoded.data.base, bytes)
+        assert decoded == img
+
+    def test_writable_source_is_copied(self):
+        source = np.array([1, 2, 3, 4], dtype=np.uint8)
+        img = GrayImage(2, 2, source)
+        source[0] = 99
+        assert img.data.tolist() == [1, 2, 3, 4]
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        source = np.array([1, 2, 3, 4], dtype=np.uint8)
+        view = source.view()
+        view.setflags(write=False)
+        img = GrayImage(2, 2, view)
+        source[0] = 99
+        assert img.data.tolist() == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("layout", ["strided", "2-D"])
+    def test_other_views_of_bytes_are_copied_flat(self, layout):
+        buf = bytes(range(8))
+        if layout == "strided":
+            pixels = np.ndarray((4,), np.uint8, buffer=buf, strides=(2,))
+        else:
+            pixels = np.frombuffer(buf, dtype=np.uint8, count=4).reshape(2, 2)
+        img = GrayImage(2, 2, pixels)
+        assert img.data.shape == (4,) and img.data.flags.c_contiguous
+        assert not np.shares_memory(img.data, pixels)
+        assert img.data.tolist() == np.ravel(pixels).tolist()
 
     def test_length_must_match_dims(self):
         with pytest.raises(ValueError, match="expected 4 pixels"):

@@ -49,3 +49,27 @@ def test_bad_corpus_size_is_usage_error(tmp_path, size):
     assert "usage:" in done.stderr and "WIDTHxHEIGHT" in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize(
+    "option,value,message",
+    [
+        ("--seed", "-1", "seed must be decimal digits"),
+        ("--seed", str(2**64), "seed must be decimal digits"),
+        ("--seed", "1_0", "seed must be decimal digits"),
+        ("--shares", "1", "--shares must be between 2 and 64"),
+        ("--shares", "65", "--shares must be between 2 and 64"),
+        ("--dataset-kind", "nope", "invalid choice"),
+    ],
+)
+def test_bad_distortion_table_argument_is_usage_error(tmp_path, option, value, message):
+    # the corpus does not exist: every argument is checked before any work
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "distortion_table.py"), str(tmp_path / "corpus"),
+         option, value],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "usage:" in done.stderr and message in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
