@@ -75,6 +75,6 @@ from .scheme import (
     reveal_original,
     seed_count,
 )
-from .synthetic import synthetic_corpus, textured_image
+from .synthetic import textured_image
 
 __version__ = "0.1.0"

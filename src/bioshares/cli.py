@@ -130,22 +130,6 @@ def _require_n(n: int) -> None:
         raise UsageError(f"--shares must be between 2 and {MAX_SHARES}, got {n}")
 
 
-def _resolve_seeds(args, method: Method, n: int, have_covers: bool) -> tuple[int, ...]:
-    """Seeds for enrollment: explicit list, derived from a master, or fresh."""
-    needed = 0 if (method is Method.M1 and have_covers) else seed_count(method, n)
-    if args.seeds is not None:
-        if len(args.seeds) != needed:
-            raise UsageError(
-                f"method {method.value} with --shares {n} needs {needed} seeds, "
-                f"got {len(args.seeds)}"
-            )
-        return args.seeds
-    if needed == 0:
-        return ()
-    master = args.seed if args.seed is not None else secrets.randbits(64)
-    return tuple(seed_sequence(master, needed))
-
-
 def cmd_enroll(args) -> int:
     _require_n(args.shares)
     method = Method(args.method)
@@ -153,13 +137,16 @@ def cmd_enroll(args) -> int:
     original = load_image_file(args.input)
 
     covers = [load_image_file(p) for p in args.cover]
-    seeds = _resolve_seeds(args, method, args.shares, bool(covers))
+    seeds = args.seeds
+    if seeds is None and not covers:
+        master = args.seed if args.seed is not None else secrets.randbits(64)
+        seeds = seed_sequence(master, seed_count(method, args.shares))
     try:
         params = SchemeParams(
             method=method,
             n=args.shares,
             bit_transform=args.bit_transform,
-            seeds=seeds,
+            seeds=seeds or (),
             cover_sources=tuple(args.cover),
         )
         share_set = generate_shares(original, params, covers or None)
@@ -186,11 +173,10 @@ def _write_report(path: Path | None, doc: dict) -> None:
 def cmd_authenticate(args) -> int:
     manifest, share_set = _load_enrollment(args)
     out_dir = args.out or args.share_dir or args.manifest.parent
-    seeds = args.seeds if args.seeds is not None else manifest.params.seeds
-    reveal_params = None
-    if manifest.params.method is Method.M3 and seeds:
+    params = manifest.params
+    if args.seeds is not None:
         try:
-            reveal_params = dataclasses.replace(manifest.params, seeds=seeds)
+            params = dataclasses.replace(params, seeds=args.seeds)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     result = authenticate(share_set)
@@ -202,8 +188,8 @@ def cmd_authenticate(args) -> int:
         write_pgm_file(cover, out_dir / f"{user}_reconstructed_cover_{i}.pgm")
     print(f"digests verified; reconstructed secret and {len(result.covers)} covers -> {out_dir}")
 
-    if reveal_params is not None:
-        revealed = reveal_original(result, reveal_params)
+    if params.method is Method.M3:
+        revealed = reveal_original(result, params)
         write_pgm_file(revealed, out_dir / f"{user}_revealed_original.pgm")
         print(f"revealed original -> {out_dir / (user + '_revealed_original.pgm')}")
     return EXIT_OK

@@ -5,7 +5,13 @@ from __future__ import annotations
 
 from pathlib import Path
 
-DATASET_KINDS = ("orl-pgm", "iitd-bmp", "flat")
+# kind -> (file suffixes taken, whether subdirectories are walked)
+_KINDS = {
+    "orl-pgm": ((".pgm",), True),
+    "iitd-bmp": ((".bmp",), True),
+    "flat": ((".pgm", ".bmp"), False),
+}
+DATASET_KINDS = tuple(_KINDS)
 
 
 class EmptyCorpusError(ValueError):
@@ -17,14 +23,9 @@ def corpus_paths(root: str | Path, kind: str) -> list[Path]:
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset root is not a directory: {root}")
-    if kind == "orl-pgm":
-        paths = [p for p in root.rglob("*") if p.is_file() and p.suffix.lower() == ".pgm"]
-    elif kind == "iitd-bmp":
-        paths = [p for p in root.rglob("*") if p.is_file() and p.suffix.lower() == ".bmp"]
-    elif kind == "flat":
-        paths = [
-            p for p in root.iterdir() if p.is_file() and p.suffix.lower() in (".pgm", ".bmp")
-        ]
-    else:
+    if kind not in _KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}; expected one of {DATASET_KINDS}")
+    suffixes, nested = _KINDS[kind]
+    found = root.rglob("*") if nested else root.iterdir()
+    paths = [p for p in found if p.is_file() and p.suffix.lower() in suffixes]
     return sorted(paths, key=lambda p: p.relative_to(root).as_posix())

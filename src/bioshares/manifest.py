@@ -74,7 +74,10 @@ class EnrollmentManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "EnrollmentManifest":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("manifest JSON is nested too deeply") from None
         if not isinstance(doc, dict):
             raise ValueError(f"manifest must be a JSON object, got {type(doc).__name__}")
         if doc.get("schema") != MANIFEST_SCHEMA:

@@ -40,9 +40,13 @@ def seed_count(method: Method, n: int) -> int:
     return n if method is Method.M3 else n - 1
 
 
+_M1_COVERS_OR_SEEDS = "method m1 takes supplied covers or texture seeds, not both"
+
+
 @dataclass(frozen=True)
 class SchemeParams:
-    """Everything needed to regenerate one enrollment deterministically."""
+    """Everything needed to regenerate one enrollment deterministically, and
+    the one judge of which seeds and covers a method takes."""
 
     method: Method
     n: int = 4
@@ -51,16 +55,20 @@ class SchemeParams:
     cover_sources: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         object.__setattr__(self, "cover_sources", tuple(str(p) for p in self.cover_sources))
         if self.n < 2:
             raise ValueError(f"share count must be at least 2, got {self.n}")
         for s in self.seeds:
-            if not 0 <= s <= SEED_MAX:
+            if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s <= SEED_MAX:
                 raise ValueError("seeds must be unsigned 64-bit integers")
+        if self.method is not Method.M1 and self.cover_sources:
+            raise ValueError("cover sources apply to method m1 only")
         required = seed_count(self.method, self.n)
         if self.method is Method.M1:
             # m1 takes no seeds when covers are supplied, n-1 when generated
+            if self.seeds and self.cover_sources:
+                raise ValueError(_M1_COVERS_OR_SEEDS)
             if self.seeds and len(self.seeds) != required:
                 raise ValueError(
                     f"method m1 takes 0 or {required} seeds, got {len(self.seeds)}"
@@ -69,8 +77,6 @@ class SchemeParams:
             raise ValueError(
                 f"method {self.method.value} takes {required} seeds, got {len(self.seeds)}"
             )
-        if self.method is not Method.M1 and self.cover_sources:
-            raise ValueError("cover sources apply to method m1 only")
 
 
 @dataclass(frozen=True)
@@ -132,6 +138,8 @@ def make_covers(
         raise ValueError("original image must have at least 2 pixels")
     if params.method is Method.M1:
         covers = list(supplied or ())
+        if covers and params.seeds:
+            raise ValueError(_M1_COVERS_OR_SEEDS)
         if covers:
             if len(covers) != params.n - 1:
                 raise ValueError(

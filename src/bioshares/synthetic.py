@@ -50,7 +50,3 @@ def textured_image(index: int, width: int = 64, height: int = 64) -> GrayImage:
 
     img = 0.75 * noise + 0.25 * ridges
     return GrayImage(width, height, np.clip(np.rint(img), 0, 255).astype(np.uint8).ravel())
-
-
-def synthetic_corpus(count: int, width: int = 64, height: int = 64) -> list[GrayImage]:
-    return [textured_image(i, width, height) for i in range(count)]

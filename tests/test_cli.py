@@ -99,12 +99,25 @@ class TestEnroll:
         share = load_pgm((out / manifest.share_files[0]).read_bytes())
         assert share.dims == (112, 94)
 
-    def test_cover_flag_rejected_outside_m1(self, tmp_path, original):
+    def test_cover_flag_rejected_outside_m1(self, tmp_path, original, capsys):
+        # no seeds are sourced when covers are given, so the cover rule must
+        # be judged before the seed count to keep this message
         _, path = original
         cover = tmp_path / "c.pgm"
         write_pgm_file(GrayImage.filled(4, 4, 1), cover)
-        assert run(["enroll", path, "--out", tmp_path, "--method", "m3",
+        assert run(["enroll", path, "--out", tmp_path / "out", "--method", "m3",
                     "--cover", cover]) == 2
+        assert capsys.readouterr().err == "error: cover sources apply to method m1 only\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_m1_covers_with_seeds_is_usage_error(self, tmp_path, original, capsys):
+        _, path = original
+        cover = tmp_path / "c.pgm"
+        write_pgm_file(GrayImage.filled(4, 4, 1), cover)
+        assert run(["enroll", path, "--out", tmp_path / "out", "--method", "m1", "--shares", "2",
+                    "--cover", cover, "--seeds", "5"]) == 2
+        assert "supplied covers or texture seeds, not both" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_wrong_cover_count_is_usage_error(self, tmp_path, original):
         _, path = original
@@ -259,6 +272,31 @@ class TestAuthenticate:
         out = tmp_path / "rec"
         assert run(["authenticate", manifest_path, "--out", out, "--seeds", "1,2"]) == 2
         assert not out.exists()  # rejected before any reconstruction is written
+
+    def test_seed_override_is_checked_for_every_method(self, tmp_path, original, capsys):
+        # an m2 store takes n-1 seeds; a wrong override is refused, not ignored
+        _, path = original
+        store = tmp_path / "store"
+        assert run(["enroll", path, "--out", store, "--method", "m2", "--seed", "3"]) == 0
+        before = sorted(store.iterdir())
+        out = tmp_path / "rec"
+        assert run(["authenticate", store / "alice_manifest.json", "--out", out,
+                    "--seeds", "1"]) == 2
+        assert "method m2 takes 3 seeds, got 1" in capsys.readouterr().err
+        assert not out.exists()
+        assert sorted(store.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["authenticate", "evaluate"])
+    def test_deeply_nested_manifest_is_format_error(self, tmp_path, enrolled, capsys, command):
+        _, manifest_path, _ = enrolled
+        manifest_path.write_text("[" * 2000 + "]" * 2000)
+        if command == "authenticate":
+            argv = [command, manifest_path, "--out", tmp_path / "rec"]
+        else:
+            argv = [command, tmp_path / "alice.pgm", manifest_path]
+        assert run(argv) == 5
+        assert capsys.readouterr().err == "error: manifest JSON is nested too deeply\n"
+        assert not (tmp_path / "rec").exists()
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -428,6 +466,28 @@ class TestBatch:
         err = capsys.readouterr().err
         assert "skipping broken.pgm: truncated pixel payload" in err
         assert "skipped 1 unreadable/undecodable files\n" in err
+
+    def test_degenerate_image_skipped(self, tmp_path, corpus, capsys):
+        write_pgm_file(GrayImage.filled(1, 1, 9), corpus / "one.pgm")
+        report = tmp_path / "report.json"
+        assert run(["batch", corpus, "--report", report, "--seed", "4"]) == 0
+        doc = json.loads(report.read_text())
+        assert (doc["images"], doc["skipped"]) == (6, 1)
+        err = capsys.readouterr().err
+        assert "skipping one.pgm: degenerate 1x1 image\n" in err
+        assert "skipped 1 unreadable/undecodable files\n" in err
+
+    def test_every_file_skipped_is_io_error(self, tmp_path, capsys):
+        root = tmp_path / "bad"
+        root.mkdir()
+        write_pgm_file(GrayImage.filled(1, 1, 9), root / "one.pgm")
+        (root / "two.pgm").write_bytes(b"P5\n9 9\n255\nx")
+        report = tmp_path / "report.json"
+        assert run(["batch", root, "--report", report, "--seed", "4"]) == 3
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: no decodable images under {root} (2 skipped)\n")
+        assert "skipping one.pgm: degenerate 1x1 image" in err
+        assert not report.exists()
 
     def test_digit_runs_past_int_limit_decode_or_are_skipped(self, tmp_path, corpus, capsys):
         (corpus / "zeros.pgm").write_bytes(b"P2 2 1 255 " + b"0" * 5000 + b"7 1")

@@ -287,6 +287,38 @@ class TestBmpReader:
             load_bmp(b"XX" + bytes(60))
 
 
+def _patched_bmp(offset, value):
+    """A valid 2x2 8-bit BMP with one little-endian int32 header field replaced."""
+    data = bytearray(build_bmp_8bit(np.zeros((2, 2), dtype=np.uint8)))
+    data[offset : offset + 4] = value.to_bytes(4, "little", signed=True)
+    return bytes(data)
+
+
+# one case per decoder error branch no other test reaches
+ERROR_BRANCHES = [
+    (_patched_bmp(14, 12), BmpError, r"^unsupported BMP header size 12$"),
+    (_patched_bmp(18, 0), BmpError, r"^bad dimensions 0x2$"),
+    (_patched_bmp(18, -2), BmpError, r"^bad dimensions -2x2$"),
+    (_patched_bmp(22, 0), BmpError, r"^bad dimensions 2x0$"),
+    # two palette entries on file, but clr_used 0 means 256 are expected
+    (build_bmp_8bit(np.zeros((2, 2), dtype=np.uint8), palette=[(0, 0, 0), (9, 9, 9)]),
+     BmpError, r"^truncated palette$"),
+    (build_bmp_8bit(np.array([[0, 1], [2, 0]], dtype=np.uint8),
+                    palette=[(0, 0, 0), (9, 9, 9)], clr_used=2),
+     BmpError, r"^palette index out of range$"),
+    (b"P5 1 1 0\n\x00", PgmError, r"^malformed header: maxval 0 \(byte offset 7\)$"),
+]
+ERROR_BRANCH_IDS = ["bmp-header-size", "bmp-zero-width", "bmp-negative-width",
+                    "bmp-zero-height", "bmp-truncated-palette", "bmp-palette-index",
+                    "pgm-maxval-zero"]
+
+
+@pytest.mark.parametrize("data, error, message", ERROR_BRANCHES, ids=ERROR_BRANCH_IDS)
+def test_decoder_error_branch(data, error, message):
+    with pytest.raises(error, match=message):
+        load_image(data)
+
+
 class TestSniffing:
     def test_dispatch(self):
         img = GrayImage(2, 1, [9, 8])

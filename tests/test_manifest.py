@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bioshares import (
     BitTransform,
@@ -17,8 +19,10 @@ from bioshares import (
     pixel_digest,
     save_enrollment,
     save_manifest,
+    textured_image,
     write_pgm_file,
 )
+from bioshares.cli import main
 
 from helpers import random_image
 
@@ -156,3 +160,79 @@ class TestLoadShareSet:
         write_pgm_file(GrayImage.filled(5, 5, 0), share_dir / manifest.share_files[0])
         with pytest.raises(IntegrityError, match="dimensions"):
             load_share_set(manifest, share_dir)
+
+
+MANIFEST_FIELDS = ("schema", "user_id", "method", "n", "bit_transform", "seeds", "dims",
+                   "share_files", "digest_algorithm", "content_digests", "cover_sources")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                   max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def edited_manifests(draw, doc):
+    """Bytes of a valid manifest after random edits: a field set to any JSON
+    value, dropped or added, one array entry replaced, a field (or the whole
+    document) nested up to 3,000 arrays deep, or arbitrary bytes instead."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=300))
+    doc = dict(doc)
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(MANIFEST_FIELDS))
+        edit = draw(st.sampled_from(["set", "drop", "add", "entry"]))
+        if edit == "set":
+            doc[name] = draw(json_values)
+        elif edit == "drop":
+            doc.pop(name, None)
+        elif edit == "add":
+            doc[draw(st.text(max_size=8))] = draw(json_values)
+        elif isinstance(doc.get(name), list) and doc[name]:
+            entries = list(doc[name])
+            entries[draw(st.integers(0, len(entries) - 1))] = draw(json_values)
+            doc[name] = entries
+    text = json.dumps(doc)
+    depth = draw(st.integers(0, 3000))
+    if depth:
+        # built as text: json.dumps itself cannot encode a list this deep
+        target = draw(st.sampled_from((None,) + MANIFEST_FIELDS))
+        if target is None or target not in doc:
+            text = "[" * depth + text + "]" * depth
+        else:
+            value, doc[target] = doc[target], "\0nest\0"
+            text = json.dumps(doc).replace(
+                json.dumps("\0nest\0"), "[" * depth + json.dumps(value) + "]" * depth)
+    return text.encode()
+
+
+class TestManifestFuzz:
+    """Untrusted manifest bytes may fail only as ValueError or OSError, and
+    `authenticate` maps every one to a documented exit code."""
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        write_pgm_file(textured_image(3, 24, 16), root / "alice.pgm")
+        assert main(["enroll", str(root / "alice.pgm"), "--out", str(root / "store"),
+                     "--method", "m3", "--seed", "7"]) == 0
+        return root
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_edited_manifest(self, store, data):
+        valid = json.loads((store / "store" / "alice_manifest.json").read_text())
+        path = store / "store" / "edited_manifest.json"
+        path.write_bytes(data.draw(edited_manifests(valid), label="manifest"))
+        try:
+            load_manifest(path)
+        except (ValueError, OSError):
+            pass
+        argv = ["authenticate", str(path), "--out", str(store / "rec")]
+        seeds = data.draw(st.none() | st.lists(st.integers(0, 2**64 - 1), min_size=1,
+                                               max_size=5), label="--seeds")
+        if seeds is not None:
+            argv += ["--seeds", ",".join(map(str, seeds))]
+        assert main(argv) in (0, 2, 3, 4, 5)

@@ -76,6 +76,22 @@ class TestParams:
         with pytest.raises(ValueError, match="64-bit"):
             SchemeParams(Method.M2, n=2, seeds=(2**64,))
 
+    @pytest.mark.parametrize("seed", [1.9, 2.0, "2", True, None],
+                             ids=["float", "integral-float", "str", "bool", "none"])
+    def test_seeds_must_be_integers(self, seed):
+        # stored as given, so a seed that int() would round or parse is refused
+        with pytest.raises(ValueError, match="64-bit integers"):
+            SchemeParams(Method.M3, n=2, seeds=(1, seed))
+
+    def test_m1_takes_covers_or_seeds_not_both(self):
+        with pytest.raises(ValueError, match="supplied covers or texture seeds, not both"):
+            SchemeParams(Method.M1, n=4, seeds=(1, 2, 3), cover_sources=("a", "b", "c"))
+
+    def test_cover_rule_judged_before_seed_count(self):
+        # a CLI that passes covers but sources no seeds gets the cover message
+        with pytest.raises(ValueError, match="cover sources apply to method m1 only"):
+            SchemeParams(Method.M3, n=4, cover_sources=("a.pgm",))
+
 
 class TestShareSet:
     def test_share_count_enforced(self):
@@ -223,6 +239,16 @@ class TestMakeCovers:
         with pytest.raises(ValueError, match="exactly 3 covers"):
             make_covers(GrayImage.filled(4, 4, 0), SchemeParams(Method.M1, n=4),
                         [GrayImage.filled(4, 4, 1)])
+
+    def test_m1_supplied_covers_rejected_with_seeds(self):
+        # the covers would be used and the seeds recorded, so the params would
+        # no longer regenerate the shares
+        original = GrayImage.filled(4, 4, 0)
+        params = SchemeParams(Method.M1, n=4, seeds=(1, 2, 3))
+        with pytest.raises(ValueError, match="supplied covers or texture seeds, not both"):
+            make_covers(original, params, [GrayImage.filled(4, 4, v) for v in (1, 2, 3)])
+        with pytest.raises(ValueError, match="not both"):
+            generate_shares(original, params, [GrayImage.filled(4, 4, v) for v in (1, 2, 3)])
 
     def test_supplied_covers_rejected_outside_m1(self):
         params = SchemeParams(Method.M2, n=2, seeds=(1,))
