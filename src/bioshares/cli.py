@@ -136,9 +136,8 @@ def cmd_enroll(args) -> int:
     user = args.user or args.input.stem
     original = load_image_file(args.input)
 
-    covers = [load_image_file(p) for p in args.cover]
     seeds = args.seeds
-    if seeds is None and not covers:
+    if seeds is None and not args.cover:
         master = args.seed if args.seed is not None else secrets.randbits(64)
         seeds = seed_sequence(master, seed_count(method, args.shares))
     try:
@@ -149,6 +148,11 @@ def cmd_enroll(args) -> int:
             seeds=seeds or (),
             cover_sources=tuple(args.cover),
         )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    # covers are read only once the params accept them
+    covers = [load_image_file(p) for p in args.cover]
+    try:
         share_set = generate_shares(original, params, covers or None)
         manifest_path = save_enrollment(share_set, user, args.out)
     except ValueError as exc:

@@ -7,11 +7,20 @@ their ideal values exactly: cr=1, mse=0, mae=0, psnr=inf, ssim=1, npcr=0,
 uaci=0. MSE and MAE are exact integer sums of |difference| over the pixel
 count; every partial sum stays below 2**53, so they equal the float64 means
 bit for bit.
+
+Correlation and SSIM read the same five centred sums of a pair. One private
+slot keeps the last first argument's centred float64 copy (8 bytes per
+pixel, read-only), its mean and sum of squares, and the last pair's five
+sums, until the next call replaces them. So the second of correlation and
+SSIM on a pair reuses the first's sums, and an original scored against its
+n shares is centred once. The slot knows its images only through weak
+references: a hit needs the very same live objects, never an equal id.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,21 +41,36 @@ def _abs_diff(i: GrayImage, s: GrayImage) -> np.ndarray:
     return np.maximum(i.data, s.data) - np.minimum(i.data, s.data)
 
 
+# (ref to i, i centred, mean of i, its sum of squares, ref to s, sums of (i, s));
+# read once and replaced by one assignment, so threads need no lock
+_centred: tuple | None = None
+
+
 def _centred_sums(i: GrayImage, s: GrayImage) -> tuple[float, float, float, float, float]:
     """Means and the sums of da*da, db*db and da*db of the inputs centred in
-    float64: two buffers (db built twice), no ufunc that needs a casting buffer."""
+    float64, reusing the slot's centring of `i` and its sums for `(i, s)`."""
+    global _centred
     require_same_dims(i, s)
-    da = i.data.astype(np.float64)
+    slot = _centred
+    if slot is not None and slot[0]() is i:
+        ref_i, da, mu_a, saa, ref_s, sums = slot
+        if ref_s() is s:
+            return sums
+    else:
+        ref_i = weakref.ref(i)
+        da = i.data.astype(np.float64)
+        mu_a = float(da.mean())
+        da -= mu_a
+        saa = float(np.multiply(da, da).sum())
+        da.setflags(write=False)
     db = s.data.astype(np.float64)
-    mu_a, mu_b = float(da.mean()), float(db.mean())
-    da -= mu_a
+    mu_b = float(db.mean())
     db -= mu_b
+    sbb = float(np.multiply(db, db).sum())
     sab = float(np.multiply(da, db, out=db).sum())
-    saa = float(np.multiply(da, da, out=da).sum())
-    db[...] = s.data
-    db -= mu_b
-    sbb = float(np.multiply(db, db, out=db).sum())
-    return mu_a, mu_b, saa, sbb, sab
+    sums = (mu_a, mu_b, saa, sbb, sab)
+    _centred = (ref_i, da, mu_a, saa, weakref.ref(s), sums)
+    return sums
 
 
 def correlation(i: GrayImage, s: GrayImage) -> float:

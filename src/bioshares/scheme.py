@@ -57,6 +57,8 @@ class SchemeParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         object.__setattr__(self, "cover_sources", tuple(str(p) for p in self.cover_sources))
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise ValueError(f"share count must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"share count must be at least 2, got {self.n}")
         for s in self.seeds:

@@ -109,6 +109,14 @@ class TestEnroll:
                     "--cover", cover]) == 2
         assert capsys.readouterr().err == "error: cover sources apply to method m1 only\n"
         assert not (tmp_path / "out").exists()
+        # a rejected cover is never opened: neither a truncated P5 nor a missing file
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\n4 4\n255\n\x01\x02")
+        for cover in (bad, tmp_path / "missing.pgm"):
+            assert run(["enroll", path, "--out", tmp_path / "out", "--method", "m3",
+                        "--cover", cover]) == 2
+            assert capsys.readouterr().err == "error: cover sources apply to method m1 only\n"
+            assert not (tmp_path / "out").exists()
 
     def test_m1_covers_with_seeds_is_usage_error(self, tmp_path, original, capsys):
         _, path = original

@@ -1,4 +1,8 @@
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from bioshares import (
     uaci_from_mae,
     xor_images,
 )
+from bioshares import metrics
 
 from helpers import (
     float_correlation,
@@ -286,3 +291,147 @@ class TestFloatFormulaOracle:
         for measure, oracle in MEASURES:
             for pair in ((ALL_ZERO, ALL_255), (ALL_255, ALL_255), (ALL_ZERO, ramp())):
                 assert outcome(measure, *pair) == outcome(oracle, *pair), measure.__name__
+
+
+def scored(a, b):
+    """correlation, ssim and report_all on (a, b), checked bit for bit against
+    the float64 formulas; returns the bits for comparing runs."""
+    cr, s = outcome(correlation, a, b), outcome(ssim, a, b)
+    assert cr == outcome(float_correlation, a, b)
+    assert s == outcome(float_ssim, a, b)
+    report = report_all(a, b)
+    assert (report.cr is None) == isinstance(cr, tuple)
+    assert report.cr is None or float(report.cr).hex() == cr
+    assert float(report.ssim).hex() == s
+    return cr, s, report
+
+
+class CountedPixels(np.ndarray):
+    """Pixel view that logs its image's tag on every astype, the cast to float64."""
+
+    def astype(self, dtype, *args, **kwargs):
+        self.log.append(self.tag)
+        return np.asarray(self).astype(dtype, *args, **kwargs)
+
+
+def counted(img, tag, log):
+    view = img.data.view(CountedPixels)
+    view.tag, view.log = tag, log
+    twin = GrayImage(img.width, img.height, img.data)
+    object.__setattr__(twin, "data", view)  # a frozen GrayImage, patched for the count
+    return twin
+
+
+class TestCentringSlot:
+    """correlation and ssim share one centring of the first argument and one set
+    of pair sums; every result still equals the float64 formulas bit for bit."""
+
+    def test_pairs_interleaved_across_two_originals(self):
+        rng = np.random.default_rng(3)
+        originals = [random_image(rng, 20, 14) for _ in range(2)]
+        shares = [[random_image(rng, 20, 14) for _ in range(4)] for _ in originals]
+        for o, row in zip(originals, shares):
+            for s in row:
+                scored(o, s)
+        for k in range(4):
+            for o, row in zip(originals, shares):
+                scored(o, row[k])
+        # measures of different pairs in turn, so no call finds its pair in the slot
+        for k in range(4):
+            for o, row in zip(originals, shares):
+                assert outcome(ssim, o, row[k]) == outcome(float_ssim, o, row[k])
+            for o, row in zip(originals, shares):
+                assert outcome(correlation, o, row[k]) == outcome(float_correlation, o, row[k])
+
+    def test_swapped_arguments_and_self_pairs(self):
+        rng = np.random.default_rng(4)
+        a, b = random_image(rng, 9, 7), random_image(rng, 9, 7)
+        scored(a, b)
+        scored(b, a)
+        scored(a, b)
+        for x in (a, b, a):
+            assert scored(x, x)[0] == (1.0).hex()
+
+    def test_constant_image_then_ssim_on_the_same_pair(self):
+        rng = np.random.default_rng(5)
+        x = random_image(rng, 8, 6)
+        for const in (GrayImage.filled(8, 6, 0), GrayImage.filled(8, 6, 200)):
+            for a, b in ((x, const), (const, x), (const, const)):
+                with pytest.raises(ConstantImageError):
+                    correlation(a, b)
+                assert ssim(a, b) == float_ssim(a, b)
+                assert report_all(a, b).cr is None
+
+    def test_recycled_ids_never_hit(self):
+        rng = np.random.default_rng(6)
+        seen = set()
+        reused = 0
+        for _ in range(200):
+            a, b = random_image(rng, 6, 5), random_image(rng, 6, 5)
+            reused += id(a) in seen or id(b) in seen
+            seen.update((id(a), id(b)))
+            scored(a, b)
+            correlation(b, a)
+            del a, b
+        assert reused  # new images did land on the ids of dropped ones
+
+    def test_slot_keeps_no_image_alive_and_its_centring_read_only(self):
+        rng = np.random.default_rng(7)
+        a, b = random_image(rng, 10, 10), random_image(rng, 10, 10)
+        correlation(a, b)
+        centred = metrics._centred[1]
+        assert centred.dtype == np.float64 and not centred.flags.writeable
+        with pytest.raises(ValueError):
+            centred[0] = 0.0
+        refs = weakref.ref(a), weakref.ref(b)
+        del a, b
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
+    def test_report_all_centres_the_original_once_and_each_share_once(self):
+        rng = np.random.default_rng(8)
+        log: list[str] = []
+        original = counted(random_image(rng, 16, 12), "o", log)
+        shares = [counted(random_image(rng, 16, 12), f"s{k}", log) for k in range(1, 5)]
+        reports = [report_all(original, s) for s in shares]
+        assert log == ["o", "s1", "s2", "s3", "s4"]
+        plain = GrayImage(16, 12, original.data)
+        assert reports == [report_all(plain, GrayImage(16, 12, s.data)) for s in shares]
+
+    def test_threads_match_a_serial_run(self):
+        rng = np.random.default_rng(9)
+        originals = [random_image(rng, 64, 64) for _ in range(3)]
+        const = GrayImage.filled(64, 64, 17)
+        pairs = [(o, random_image(rng, 64, 64)) for o in originals for _ in range(4)]
+        pairs += [(originals[0], const), (const, originals[1]), (originals[2], originals[2])]
+        serial = [scored(a, b) for a, b in pairs]
+        results: dict[int, list] = {}
+
+        def worker(w):
+            order = list(range(w, len(pairs))) + list(range(w))
+            if w % 2:
+                order.reverse()
+            got = []
+            for _ in range(10):
+                for k in order:
+                    a, b = pairs[k]
+                    got.append((k, (outcome(correlation, a, b), outcome(ssim, a, b),
+                                    report_all(a, b))))
+            results[w] = got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for got in results.values():
+            assert len(got) == 10 * len(pairs)
+            for k, result in got:
+                assert result == serial[k]

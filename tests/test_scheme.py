@@ -57,6 +57,13 @@ class TestParams:
         with pytest.raises(ValueError, match="at least 2"):
             SchemeParams(Method.M2, n=1, seeds=())
 
+    @pytest.mark.parametrize("n", [4.0, 2.5, "4", True, None, np.int64(4)],
+                             ids=["integral-float", "float", "str", "bool", "none", "numpy"])
+    def test_n_must_be_an_integer(self, n):
+        # judged before the minimum, so a float n never reaches the share store
+        with pytest.raises(ValueError, match="share count must be an integer"):
+            SchemeParams(Method.M1, n=n, seeds=(1, 2, 3))
+
     def test_seed_count_enforced(self):
         with pytest.raises(ValueError, match="takes 3 seeds"):
             SchemeParams(Method.M2, n=4, seeds=(1, 2))

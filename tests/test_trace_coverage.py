@@ -3,8 +3,8 @@
 no name that `bench/layers.py` IDLE lists is. These tests run commands
 through `bench/tracehook.py`:
 - `evaluate` and a three-image flat m1 `batch` (one P2, one BMP, one P5)
-  must enter each metrics and P2/BMP decoder name, and the batch no
-  permutation name;
+  must enter each metrics and P2/BMP decoder name, `correlation` and `ssim`
+  once per `report_all`, and the batch no permutation name;
 - an m3 `enroll` and `authenticate --seeds` (reveal) must enter each keyed
   layer: prng, permutation, images and scheme.
 So a faster measure, decoder or keyed kernel cannot bypass a traced name
@@ -71,6 +71,10 @@ def test_every_listed_measure_and_decoder_is_entered(tmp_path):
         totals[key] += value
     assert (totals["batch.run_batch.images"], totals["batch.run_batch.skipped"]) == (3, 0)
     assert [name for name in CHECKED if not totals[f"{name}.calls"]] == []
+    # every pair enters both centred measures, even when the second reuses
+    # the first's sums
+    assert totals["metrics.report_all.calls"] == totals["metrics.correlation.calls"] \
+        == totals["metrics.ssim.calls"]
     # the IDLE rule: an m1 batch derives no permutation
     assert batch["scheme.make_covers.calls"] == 3
     assert [key for prefix in layers.IDLE["batch-mixed-m1"] for key, value in batch.items()
