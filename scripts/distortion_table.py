@@ -16,7 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bioshares import MetricsReport, Method, run_batch
-from bioshares.cli import IDEAL_ROW, MAX_SHARES
+from bioshares.cli import IDEAL_ROW, MAX_SHARES, require_share_count
 from bioshares.datasets import DATASET_KINDS
 from bioshares.images import REVERSE8
 from bioshares.metrics import format_measure
@@ -36,10 +36,9 @@ def main() -> int:
     args = parser.parse_args()
     try:
         seed = parse_seed(args.seed)
+        require_share_count(args.shares)
     except ValueError as exc:
         parser.error(str(exc))
-    if not 2 <= args.shares <= MAX_SHARES:
-        parser.error(f"--shares must be between 2 and {MAX_SHARES}, got {args.shares}")
 
     print(_row("method", MetricsReport.FIELDS))
     print(_row("ideal", (IDEAL_ROW[name] for name in MetricsReport.FIELDS)))

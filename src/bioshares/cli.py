@@ -82,10 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_enroll.add_argument("--method", choices=[m.value for m in Method], default="m3")
     p_enroll.add_argument("--shares", type=int, default=4, metavar="N",
                           help=f"share count n (2..{MAX_SHARES})")
-    p_enroll.add_argument("--seed", type=_u64, default=None, metavar="U64",
-                          help="master seed; per-slot seeds derive from it")
-    p_enroll.add_argument("--seeds", type=_seed_list, default=None, metavar="LIST",
-                          help="comma-separated explicit per-slot seeds")
+    seed_source = p_enroll.add_mutually_exclusive_group()
+    seed_source.add_argument("--seed", type=_u64, default=None, metavar="U64",
+                             help="master seed; per-slot seeds derive from it")
+    seed_source.add_argument("--seeds", type=_seed_list, default=None, metavar="LIST",
+                             help="comma-separated explicit per-slot seeds")
     p_enroll.add_argument("--bit-transform", type=_bit_transform, default=BitTransform(),
                           metavar="{reverse8,rotate:K}")
     p_enroll.add_argument("--cover", type=Path, action="append", default=[],
@@ -125,19 +126,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_n(n: int) -> None:
+def require_share_count(n: int) -> None:
+    """Refuse a --shares value outside 2..MAX_SHARES."""
     if not 2 <= n <= MAX_SHARES:
         raise UsageError(f"--shares must be between 2 and {MAX_SHARES}, got {n}")
 
 
 def cmd_enroll(args) -> int:
-    _require_n(args.shares)
+    require_share_count(args.shares)
     method = Method(args.method)
     user = args.user or args.input.stem
     original = load_image_file(args.input)
 
     seeds = args.seeds
-    if seeds is None and not args.cover:
+    # beside covers, seeds come only from an explicit --seed, which
+    # SchemeParams then refuses
+    if seeds is None and (args.seed is not None or not args.cover):
         master = args.seed if args.seed is not None else secrets.randbits(64)
         seeds = seed_sequence(master, seed_count(method, args.shares))
     try:
@@ -230,7 +234,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    _require_n(args.shares)
+    require_share_count(args.shares)
     rows, report = run_batch(
         root=args.root,
         kind=args.dataset_kind,

@@ -4,6 +4,7 @@ pipeline is built from: element-wise XOR and reversible 8-bit transforms
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,8 @@ class BitTransform:
     k: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.k, int) or isinstance(self.k, bool):
+            raise ValueError(f"rotation amount must be an integer, got {self.k!r}")
         if self.kind == "reverse8":
             if self.k != 0:
                 raise ValueError("reverse8 takes no rotation amount")
@@ -105,16 +108,13 @@ class BitTransform:
 
     @classmethod
     def parse(cls, text: str) -> "BitTransform":
-        """Parse a CLI/manifest descriptor: 'reverse8' or 'rotate:K'."""
+        """Parse a CLI/manifest descriptor: 'reverse8' or 'rotate:K', K one
+        ASCII digit 1..7, so every accepted text is its own descriptor()."""
         if text == "reverse8":
             return cls("reverse8")
-        if text.startswith("rotate:"):
-            try:
-                k = int(text.split(":", 1)[1])
-            except ValueError:
-                raise ValueError(f"bad bit transform descriptor {text!r}") from None
-            return cls("rotate", k)
-        raise ValueError(f"unknown bit transform descriptor {text!r}")
+        if re.fullmatch(r"rotate:[1-7]", text):
+            return cls("rotate", int(text[-1]))
+        raise ValueError(f"bad bit transform descriptor {text!r}")
 
     def descriptor(self) -> str:
         return "reverse8" if self.kind == "reverse8" else f"rotate:{self.k}"

@@ -4,17 +4,18 @@ Eight measures: Pearson correlation, MSE, RMSE, MAE, PSNR, single-window
 SSIM, NPCR (percentage of differing pixel positions) and UACI (mean absolute
 difference as a percentage of the 255 range). For identical inputs they hit
 their ideal values exactly: cr=1, mse=0, mae=0, psnr=inf, ssim=1, npcr=0,
-uaci=0. MSE and MAE are exact integer sums of |difference| over the pixel
-count; every partial sum stays below 2**53, so they equal the float64 means
-bit for bit.
+uaci=0.
 
-Correlation and SSIM read the same five centred sums of a pair. One private
-slot keeps the last first argument's centred float64 copy (8 bytes per
-pixel, read-only), its mean and sum of squares, and the last pair's five
-sums, until the next call replaces them. So the second of correlation and
-SSIM on a pair reuses the first's sums, and an original scored against its
-n shares is centred once. The slot knows its images only through weak
-references: a hit needs the very same live objects, never an equal id.
+Every measure is a view of one kernel over the pair. It takes the sum, the
+sum of squares and the nonzero count of d = |i - s| as exact integers (every
+partial sum stays below 2**53, so MSE and MAE equal the float64 means bit for
+bit), and the means and centred sums of products that correlation and SSIM
+read. One private slot keeps the last first argument's centred float64 copy
+(8 bytes per pixel, read-only), its mean and sum of squares, and the last
+pair's sums until the next call replaces them. So each measure of a pair
+after the first reads the slot, and an original scored against its n shares
+is centred once. The slot knows its images only through weak references: a
+hit needs the very same live objects, never an equal id.
 """
 
 from __future__ import annotations
@@ -36,22 +37,18 @@ class ConstantImageError(ValueError):
     """Correlation is undefined when an input has zero variance."""
 
 
-def _abs_diff(i: GrayImage, s: GrayImage) -> np.ndarray:
-    require_same_dims(i, s)
-    return np.maximum(i.data, s.data) - np.minimum(i.data, s.data)
-
-
 # (ref to i, i centred, mean of i, its sum of squares, ref to s, sums of (i, s));
 # read once and replaced by one assignment, so threads need no lock
-_centred: tuple | None = None
+_slot: tuple | None = None
 
 
-def _centred_sums(i: GrayImage, s: GrayImage) -> tuple[float, float, float, float, float]:
-    """Means and the sums of da*da, db*db and da*db of the inputs centred in
-    float64, reusing the slot's centring of `i` and its sums for `(i, s)`."""
-    global _centred
+def _pair_sums(i: GrayImage, s: GrayImage) -> tuple:
+    """Sum, sum of squares and nonzero count of |i - s|, then the means and the
+    sums of da*da, db*db and da*db of both inputs centred in float64; reuses
+    the slot's centring of `i` and its sums for `(i, s)`."""
+    global _slot
     require_same_dims(i, s)
-    slot = _centred
+    slot = _slot
     if slot is not None and slot[0]() is i:
         ref_i, da, mu_a, saa, ref_s, sums = slot
         if ref_s() is s:
@@ -63,19 +60,25 @@ def _centred_sums(i: GrayImage, s: GrayImage) -> tuple[float, float, float, floa
         da -= mu_a
         saa = float(np.multiply(da, da).sum())
         da.setflags(write=False)
+    d = np.maximum(i.data, s.data)
+    d -= np.minimum(i.data, s.data)
+    d_sum = int(d.sum(dtype=np.int64))
+    d_squares = int(np.square(d, dtype=np.uint16).sum(dtype=np.int64))
+    changed = int(np.count_nonzero(d))
+    del d  # freed before the share's 8 B/px copy
     db = s.data.astype(np.float64)
     mu_b = float(db.mean())
     db -= mu_b
     sbb = float(np.multiply(db, db).sum())
     sab = float(np.multiply(da, db, out=db).sum())
-    sums = (mu_a, mu_b, saa, sbb, sab)
-    _centred = (ref_i, da, mu_a, saa, weakref.ref(s), sums)
+    sums = (d_sum, d_squares, changed, mu_a, mu_b, saa, sbb, sab)
+    _slot = (ref_i, da, mu_a, saa, weakref.ref(s), sums)
     return sums
 
 
 def correlation(i: GrayImage, s: GrayImage) -> float:
     """Pearson correlation over all pixels; raises on constant inputs."""
-    _, _, saa, sbb, sab = _centred_sums(i, s)
+    *_, saa, sbb, sab = _pair_sums(i, s)
     denom = math.sqrt(saa * sbb)
     if denom == 0.0:
         raise ConstantImageError("correlation undefined: a constant image has zero variance")
@@ -83,8 +86,7 @@ def correlation(i: GrayImage, s: GrayImage) -> float:
 
 
 def mse(i: GrayImage, s: GrayImage) -> float:
-    d = _abs_diff(i, s)
-    return int(np.square(d, dtype=np.uint16).sum(dtype=np.int64)) / d.size
+    return _pair_sums(i, s)[1] / i.pixel_count
 
 
 def rmse(i: GrayImage, s: GrayImage) -> float:
@@ -92,8 +94,7 @@ def rmse(i: GrayImage, s: GrayImage) -> float:
 
 
 def mae(i: GrayImage, s: GrayImage) -> float:
-    d = _abs_diff(i, s)
-    return int(d.sum(dtype=np.int64)) / d.size
+    return _pair_sums(i, s)[0] / i.pixel_count
 
 
 def psnr_from_mse(mse_value: float) -> float:
@@ -110,7 +111,7 @@ def psnr(i: GrayImage, s: GrayImage) -> float:
 def ssim(i: GrayImage, s: GrayImage) -> float:
     """Structural similarity with a single window spanning the whole image,
     C1=(0.01*255)^2 and C2=(0.03*255)^2."""
-    mu_a, mu_b, saa, sbb, sab = _centred_sums(i, s)
+    *_, mu_a, mu_b, saa, sbb, sab = _pair_sums(i, s)
     p = i.pixel_count
     num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * (sab / p) + SSIM_C2)
     den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (saa / p + sbb / p + SSIM_C2)
@@ -119,8 +120,7 @@ def ssim(i: GrayImage, s: GrayImage) -> float:
 
 def npcr(i: GrayImage, s: GrayImage) -> float:
     """Percentage of pixel positions whose values differ."""
-    require_same_dims(i, s)
-    return 100.0 * int(np.count_nonzero(i.data != s.data)) / i.pixel_count
+    return 100.0 * _pair_sums(i, s)[2] / i.pixel_count
 
 
 def uaci_from_mae(mae_value: float) -> float:
@@ -160,7 +160,6 @@ class MetricsReport:
 
 def report_all(i: GrayImage, s: GrayImage) -> MetricsReport:
     """All eight measures at once; undefined correlation becomes None."""
-    require_same_dims(i, s)
     mse_value = mse(i, s)
     try:
         cr: float | None = correlation(i, s)

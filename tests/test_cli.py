@@ -127,6 +127,25 @@ class TestEnroll:
         assert "supplied covers or texture seeds, not both" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_seed_with_seeds_is_usage_error(self, tmp_path, original, capsys):
+        _, path = original
+        with pytest.raises(SystemExit) as err:
+            run(["enroll", path, "--out", tmp_path / "out", "--seeds", "1,2,3,4", "--seed", "9"])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_m1_covers_with_seed_is_usage_error(self, tmp_path, original, capsys):
+        _, path = original
+        covers = []
+        for k in range(3):
+            covers += ["--cover", tmp_path / f"c{k}.pgm"]
+            write_pgm_file(GrayImage.filled(24, 16, k), tmp_path / f"c{k}.pgm")
+        assert run(["enroll", path, "--out", tmp_path / "out", "--method", "m1", *covers,
+                    "--seed", "9"]) == 2
+        assert "supplied covers or texture seeds, not both" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_wrong_cover_count_is_usage_error(self, tmp_path, original):
         _, path = original
         cover = tmp_path / "c.pgm"
@@ -324,10 +343,12 @@ class TestAuthenticate:
             (lambda doc: {**doc, "cover_sources": "xy"},
              "'cover_sources' is invalid: expected a JSON array"),
             (lambda doc: {**doc, "n": 4.9}, "'n' is invalid: expected an integer"),
+            (lambda doc: {**doc, "bit_transform": "rotate:+3"},
+             "'bit_transform' is invalid: bad bit transform descriptor 'rotate:+3'"),
         ],
         ids=["no-user-id", "no-dims", "one-dim", "zero-dim", "negative-dims",
              "top-level-array", "string-digests", "string-seeds", "string-dims",
-             "string-cover-sources", "fractional-n"],
+             "string-cover-sources", "fractional-n", "signed-rotation"],
     )
     def test_malformed_manifest_is_format_error(self, tmp_path, enrolled, capsys, edit, message):
         _, manifest_path, _ = enrolled

@@ -185,10 +185,19 @@ class TestBitTransform:
         assert BitTransform.parse("rotate:3").descriptor() == "rotate:3"
         assert REVERSE8.descriptor() == "reverse8"
 
-    @pytest.mark.parametrize("bad", ["rot8", "rotate:", "rotate:x", "rotate:0", "rotate:8", ""])
+    # the last five name rotate:3 to int() but are not its descriptor
+    @pytest.mark.parametrize("bad", ["rot8", "rotate:", "rotate:x", "rotate:0", "rotate:8", "",
+                                     "rotate:+3", "rotate: 3", "rotate:03", "rotate:\u0663",
+                                     "rotate:3 "])
     def test_bad_descriptors(self, bad):
         with pytest.raises(ValueError):
             BitTransform.parse(bad)
+
+    @pytest.mark.parametrize("k", [True, 3.0, "3", np.int64(3)],
+                             ids=["bool", "float", "str", "numpy-int"])
+    def test_rotation_amount_must_be_an_int(self, k):
+        with pytest.raises(ValueError, match="rotation amount must be an integer"):
+            BitTransform("rotate", k)
 
     def test_bad_kind_and_direction(self):
         with pytest.raises(ValueError):

@@ -293,6 +293,10 @@ class TestFloatFormulaOracle:
                 assert outcome(measure, *pair) == outcome(oracle, *pair), measure.__name__
 
 
+def npcr_oracle(a, b):
+    return 100.0 * int(np.count_nonzero(a.data != b.data)) / a.pixel_count
+
+
 def scored(a, b):
     """correlation, ssim and report_all on (a, b), checked bit for bit against
     the float64 formulas; returns the bits for comparing runs."""
@@ -307,16 +311,23 @@ def scored(a, b):
 
 
 class CountedPixels(np.ndarray):
-    """Pixel view that logs its image's tag on every astype, the cast to float64."""
+    """Pixel view that logs its image's tag on every astype, the cast to float64,
+    and each ufunc that reads it, with the tags of its pixel inputs."""
 
     def astype(self, dtype, *args, **kwargs):
         self.log.append(self.tag)
         return np.asarray(self).astype(dtype, *args, **kwargs)
 
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        tags = tuple(x.tag for x in inputs if isinstance(x, CountedPixels))
+        self.ufuncs.append((ufunc.__name__, *tags))
+        inputs = [np.asarray(x) if isinstance(x, CountedPixels) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
 
-def counted(img, tag, log):
+
+def counted(img, tag, log, ufuncs=None):
     view = img.data.view(CountedPixels)
-    view.tag, view.log = tag, log
+    view.tag, view.log, view.ufuncs = tag, log, [] if ufuncs is None else ufuncs
     twin = GrayImage(img.width, img.height, img.data)
     object.__setattr__(twin, "data", view)  # a frozen GrayImage, patched for the count
     return twin
@@ -379,7 +390,7 @@ class TestCentringSlot:
         rng = np.random.default_rng(7)
         a, b = random_image(rng, 10, 10), random_image(rng, 10, 10)
         correlation(a, b)
-        centred = metrics._centred[1]
+        centred = metrics._slot[1]
         assert centred.dtype == np.float64 and not centred.flags.writeable
         with pytest.raises(ValueError):
             centred[0] = 0.0
@@ -397,6 +408,35 @@ class TestCentringSlot:
         assert log == ["o", "s1", "s2", "s3", "s4"]
         plain = GrayImage(16, 12, original.data)
         assert reports == [report_all(plain, GrayImage(16, 12, s.data)) for s in shares]
+
+    def test_report_all_forms_the_difference_once_per_pair(self):
+        rng = np.random.default_rng(10)
+        log: list[str] = []
+        ufuncs: list[tuple] = []
+        original = counted(random_image(rng, 16, 12), "o", log, ufuncs)
+        shares = [counted(random_image(rng, 16, 12), f"s{k}", log, ufuncs) for k in range(1, 5)]
+        for s in shares:
+            report_all(original, s)
+        assert ufuncs == [(name, "o", f"s{k}") for k in range(1, 5)
+                          for name in ("maximum", "minimum")]
+
+    def test_single_measures_interleaved_across_pairs(self):
+        # consecutive calls score pairs that share the first image, then pairs
+        # that share the second, so a slot keyed on less than the very pair
+        # returns another pair's sums
+        rng = np.random.default_rng(11)
+        originals = [random_image(rng, 20, 14) for _ in range(2)]
+        shares = [random_image(rng, 20, 14) for _ in range(3)]
+        shares.append(GrayImage(20, 14, originals[0].data))
+        measures = [(mse, float_mse), (mae, float_mae), (npcr, npcr_oracle),
+                    (uaci, lambda a, b: uaci_from_mae(float_mae(a, b))),
+                    (correlation, float_correlation), (ssim, float_ssim)]
+        same_first = [(o, shares[(k + m) % 4], *measure) for o in originals
+                      for m, measure in enumerate(measures) for k in range(4)]
+        same_second = [(o, s, *measure) for s in shares for measure in measures
+                       for o in originals]
+        for a, b, measure, oracle in same_first + same_second:
+            assert outcome(measure, a, b) == outcome(oracle, a, b), measure.__name__
 
     def test_threads_match_a_serial_run(self):
         rng = np.random.default_rng(9)
