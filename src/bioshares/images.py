@@ -14,13 +14,24 @@ class DimensionMismatchError(ValueError):
     """Two images that must share dimensions do not."""
 
 
+class _Owned:
+    """Pixels handed over by their only holder (see GrayImage.adopt)."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
 @dataclass(frozen=True, eq=False)
 class GrayImage:
     """Immutable 8-bit grayscale raster; pixels stored row-major.
 
-    `data` accepts any integer array-like of length width*height with values
-    in [0, 255] and is normalised to a read-only uint8 copy, except that a
-    contiguous 1-D uint8 view of immutable `bytes` is kept as it is.
+    `width` and `height` are positive ints. `data` accepts any integer
+    array-like of length width*height with values in [0, 255] and is
+    normalised to a read-only uint8 copy, except that a contiguous 1-D uint8
+    view of immutable `bytes` is kept as it is, and so is an array handed
+    over by `adopt`.
     """
 
     width: int
@@ -28,9 +39,13 @@ class GrayImage:
     data: np.ndarray
 
     def __post_init__(self) -> None:
+        for dim in (self.width, self.height):
+            if not isinstance(dim, int) or isinstance(dim, bool):
+                raise ValueError(f"image dimensions must be integers, got {dim!r}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"image dimensions must be positive, got {self.width}x{self.height}")
-        arr = np.asarray(self.data)
+        owned = isinstance(self.data, _Owned)
+        arr = self.data.array if owned else np.asarray(self.data)
         if arr.size != self.width * self.height:
             raise ValueError(f"expected {self.width * self.height} pixels, got {arr.size}")
         if arr.dtype != np.uint8:
@@ -38,10 +53,17 @@ class GrayImage:
                 raise ValueError(f"pixel values must be integers, got dtype {arr.dtype}")
             if int(arr.min()) < 0 or int(arr.max()) > 255:
                 raise ValueError("pixel values must lie in [0, 255]")
-        if not (arr.dtype == np.uint8 and arr.strides == (1,) and isinstance(arr.base, bytes)):
+        if not (arr.dtype == np.uint8 and arr.strides == (1,)
+                and (owned or isinstance(arr.base, bytes))):
             arr = np.array(arr, dtype=np.uint8).ravel()
-            arr.setflags(write=False)
+        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
+
+    @classmethod
+    def adopt(cls, width: int, height: int, data: np.ndarray) -> "GrayImage":
+        """An image that takes over `data`, a fresh array that nobody else
+        holds: a contiguous 1-D uint8 array is frozen in place, not copied."""
+        return cls(width, height, _Owned(data))
 
     @classmethod
     def filled(cls, width: int, height: int, value: int) -> "GrayImage":
@@ -78,7 +100,7 @@ def require_same_dims(a: GrayImage, b: GrayImage) -> None:
 def xor_images(a: GrayImage, b: GrayImage) -> GrayImage:
     """Element-wise bitwise XOR of two same-size images."""
     require_same_dims(a, b)
-    return GrayImage(a.width, a.height, np.bitwise_xor(a.data, b.data))
+    return GrayImage.adopt(a.width, a.height, np.bitwise_xor(a.data, b.data))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 A permutation is exactly the one a sequential Fisher-Yates shuffle produces
 when its draws come from SplitMix64 (see the prng module), so a
 (seed, length) pair names the same bijection on every platform. It is
-computed without the swap loop, by one sort and pointer doubling over whole
-arrays. Re-issuing a template is just a matter of choosing new seeds;
-without the seed the permutation cannot be undone.
+computed without the swap loop, by one sort and pointer doubling.
+Re-issuing a template is just a matter of choosing new seeds; without the
+seed the permutation cannot be undone.
 """
 
 from __future__ import annotations
@@ -23,18 +23,27 @@ MAX_LENGTH = 2**31
 by target << 32 | step, which fits an int64 while every index is below
 2**31."""
 
+_BLOCK = 2**15
+"""Steps per block while derive_permutation builds its sort key: the key
+block, its divisors and splitmix64's scratch take 256 KB each, so together
+they stay in L2 cache."""
+
 
 @dataclass(frozen=True)
 class PermutationKey:
     """A (seed, length) pair selecting one bijection on {0..length-1}.
 
-    Raises ValueError unless 0 <= seed < 2**64 and 1 <= length <= MAX_LENGTH.
+    Raises ValueError unless seed and length are ints (not bools),
+    0 <= seed < 2**64 and 1 <= length <= MAX_LENGTH.
     """
 
     seed: int
     length: int
 
     def __post_init__(self) -> None:
+        for name, value in (("seed", self.seed), ("length", self.length)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"permutation {name} must be an integer, got {value!r}")
         if not 0 <= self.seed <= SEED_MAX:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if not 1 <= self.length <= MAX_LENGTH:
@@ -57,26 +66,36 @@ def derive_permutation(key: PermutationKey) -> np.ndarray:
     (t[p] == p), where V(p) reads as p; no step reads V(p) then, because
     only larger steps can target p. One sort by (target, step) groups the
     steps by target in step order, and pointer doubling resolves every
-    chain in O(log length) whole-array rounds.
+    chain in O(log length) rounds.
 
-    The passes reuse their buffers: the targets become the sort key in
-    place and the key becomes the steps in place, the group heads are found
-    once and every per-group value is gathered at them, and one scatter
-    writes the result.
+    The sort key is built in place a block of steps at a time, so that the
+    key block and the block buffers stay in L2 cache. After two
+    whole-array jumps only a few percent of the chains are unresolved, so
+    later rounds jump just those. The group heads are found once, every
+    per-group value is gathered at them, and the result is scattered
+    straight into the chain's buffer.
 
     Nothing is memoised: the array is key material and lives only as long as
     its caller keeps it.
     """
     length = key.length
-    # sort_key[k] = t[k] << 32 | k; step 0 swaps position 0 with itself,
-    # so out[0] follows the same rule
-    sort_key = np.zeros(length, dtype=np.int64)
-    draws = splitmix64(key.seed, length - 1)
-    draws %= np.arange(length, 1, -1, dtype=np.uint64)
-    sort_key[:0:-1] = draws
-    del draws
-    sort_key <<= 32
-    sort_key |= np.arange(length, dtype=np.int64)
+    # step k draws SplitMix64 output number length - k (step 0, drawing
+    # mod 1, swaps position 0 with itself); its sort key t[k] << 32 | k is
+    # built at index length - 1 - k, so the draws fill the array in order
+    sort_key = np.empty(length, dtype=np.uint64)
+    size = min(length, _BLOCK)
+    divisors = np.arange(length, length - size, -1, dtype=np.uint64)  # k + 1
+    for start in range(0, length, size):
+        block = sort_key[start:start + size]
+        div = divisors[:block.size]
+        splitmix64(key.seed, block.size, start + 1, out=block)
+        block %= div
+        block <<= np.uint64(32)
+        block += div  # the low half is zero, so this sets it to k = div - 1
+        block -= np.uint64(1)
+        div -= np.uint64(size)  # the next block's; unused after the last
+    del divisors
+    sort_key = sort_key.view(np.int64)
     sort_key.sort()
     group = sort_key >> 32
     step = sort_key
@@ -90,24 +109,25 @@ def derive_permutation(key: PermutationKey) -> np.ndarray:
     del group
     chain = np.arange(length, dtype=np.int64)
     chain[firsts] = step[heads]
-    while True:
-        jumped = chain[chain]
-        if (jumped == chain).all():
-            break
-        chain = jumped
-    del jumped
+    chain = chain[chain]
+    chain = chain[chain]
+    # an entry is resolved once it points at a fixed point
+    moving = np.flatnonzero(chain[chain] != chain)
+    while moving.size:
+        ahead = chain[chain[moving]]
+        chain[moving] = ahead
+        moving = moving[chain[ahead] != ahead]
     # every entry finds what the next entry of its group left, except the
     # last, the group's first writer in time, which finds the original index
-    found = np.empty(length, dtype=np.int64)
-    found[:-1] = chain[step[1:]]
-    del chain
+    found = chain[step]
+    out = chain
+    out[step[:-1]] = found[1:]
+    del found
     lasts = heads  # a group ends where the next begins
     lasts[:-1] = lasts[1:]
     lasts -= 1
     lasts[-1] = length - 1
-    found[lasts] = firsts
-    out = np.empty(length, dtype=np.int64)
-    out[step] = found
+    out[step[lasts]] = firsts
     out.setflags(write=False)
     return out
 
@@ -123,7 +143,7 @@ def permute_image(img: GrayImage, key: PermutationKey) -> GrayImage:
     """Scramble pixels: output pixel j is input pixel perm[j]."""
     _require_length(img, key)
     perm = derive_permutation(key)
-    return GrayImage(img.width, img.height, img.data[perm])
+    return GrayImage.adopt(img.width, img.height, img.data[perm])
 
 
 def inverse_permute_image(img: GrayImage, key: PermutationKey) -> GrayImage:
@@ -132,4 +152,4 @@ def inverse_permute_image(img: GrayImage, key: PermutationKey) -> GrayImage:
     perm = derive_permutation(key)
     out = np.empty(img.pixel_count, dtype=np.uint8)
     out[perm] = img.data
-    return GrayImage(img.width, img.height, out)
+    return GrayImage.adopt(img.width, img.height, out)

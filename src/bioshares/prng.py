@@ -1,9 +1,9 @@
 """Deterministic 64-bit pseudo-random generator used for all keyed randomness.
 
 The generator is SplitMix64 (Steele, Lea & Vigna), fully specified by the
-three constants below: the k-th output for seed s is
+three constants below: output number m = 1, 2, ... for seed s is
 
-    mix(s + (k + 1) * 0x9E3779B97F4A7C15)   mod 2**64
+    mix(s + m * 0x9E3779B97F4A7C15)   mod 2**64
 
 where mix xor-shifts by 30/27/31 and multiplies by 0xBF58476D1CE4E5B9 and
 0x94D049BB133111EB. Outputs depend only on the seed, so every derived
@@ -31,18 +31,25 @@ def parse_seed(text: str) -> int:
     return int(text)
 
 
-def splitmix64(seed: int, count: int) -> np.ndarray:
-    """First `count` SplitMix64 outputs for `seed`, as a uint64 array.
+def splitmix64(seed: int, count: int, first: int = 1, out: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 outputs number first, first + 1, ... for `seed`, `count` of
+    them (by default the first `count`), as a uint64 array.
 
-    Every step of the formula runs in place on the output buffer; the
-    xor-shifts write their shifted copy into one scratch buffer.
+    With `out`, a uint64 array of `count` entries, the outputs are written
+    into it, so a caller can fill its own buffer a block at a time. Every
+    step of the formula runs in place; the xor-shifts write their shifted
+    copy into one scratch buffer.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    z = np.arange(1, count + 1, dtype=np.uint64)
+    z = np.arange(first, first + count, dtype=np.uint64)
+    if out is None:
+        shifted = np.empty_like(z)
+    else:  # the output numbers' buffer becomes the scratch
+        out[...] = z
+        z, shifted = out, z
     z *= np.uint64(_GOLDEN)
     z += np.uint64(seed & _MASK)
-    shifted = np.empty_like(z)
     z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= np.uint64(_MIX1)
     z ^= np.right_shift(z, np.uint64(27), out=shifted)

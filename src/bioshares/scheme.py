@@ -127,7 +127,7 @@ def resize_nearest(img: GrayImage, width: int, height: int) -> GrayImage:
 
 def noise_cover(width: int, height: int, seed: int) -> GrayImage:
     """Deterministic pseudo-random gray texture (SplitMix64 low bytes)."""
-    return GrayImage(width, height, random_bytes(seed, width * height))
+    return GrayImage.adopt(width, height, random_bytes(seed, width * height))
 
 
 def make_covers(

@@ -7,8 +7,12 @@ from bioshares import (
     BitTransform,
     DimensionMismatchError,
     GrayImage,
+    PermutationKey,
     bit_transform,
+    inverse_permute_image,
     load_image,
+    noise_cover,
+    permute_image,
     save_pgm,
     transform_lut,
     xor_images,
@@ -77,6 +81,50 @@ class TestGrayImage:
         assert img.data.shape == (4,) and img.data.flags.c_contiguous
         assert not np.shares_memory(img.data, pixels)
         assert img.data.tolist() == np.ravel(pixels).tolist()
+
+    def test_caller_array_is_copied_even_if_frozen(self):
+        # a caller that froze its own array may unfreeze and change it
+        source = np.array([1, 2, 3, 4], dtype=np.uint8)
+        source.setflags(write=False)
+        img = GrayImage(2, 2, source)
+        source.setflags(write=True)
+        source[:] = 7
+        assert img.data.tolist() == [1, 2, 3, 4]
+        assert not np.shares_memory(img.data, source)
+
+    def test_adopt_freezes_without_copying(self):
+        fresh = np.array([1, 2, 3, 4], dtype=np.uint8)
+        img = GrayImage.adopt(2, 2, fresh)
+        assert np.shares_memory(img.data, fresh)
+        assert not img.data.flags.writeable and not fresh.flags.writeable
+        # anything else is normalised as the constructor does
+        assert GrayImage.adopt(2, 2, np.array([[1, 2], [3, 4]])).data.tolist() == [1, 2, 3, 4]
+        with pytest.raises(ValueError, match="expected 4 pixels"):
+            GrayImage.adopt(2, 2, np.zeros(3, dtype=np.uint8))
+
+    def test_fresh_results_are_adopted(self, monkeypatch):
+        kept = []
+        adopt = GrayImage.adopt.__func__
+
+        def spy(cls, width, height, data):
+            img = adopt(cls, width, height, data)
+            kept.append(np.shares_memory(img.data, data))
+            return img
+
+        monkeypatch.setattr(GrayImage, "adopt", classmethod(spy))
+        img = GrayImage(2, 2, [5, 6, 7, 8])
+        key = PermutationKey(3, 4)
+        scrambled = permute_image(img, key)
+        assert inverse_permute_image(scrambled, key) == img
+        xor_images(img, scrambled)
+        noise_cover(2, 2, 9)
+        assert kept == [True] * 4
+
+    @pytest.mark.parametrize("width, height", [(2.0, 3), (2, 3.0), (True, 6), (2, np.int64(3)),
+                                               ("2", 3)])
+    def test_dims_must_be_ints(self, width, height):
+        with pytest.raises(ValueError, match="dimensions must be integers"):
+            GrayImage(width, height, [0] * 6)
 
     def test_length_must_match_dims(self):
         with pytest.raises(ValueError, match="expected 4 pixels"):

@@ -62,6 +62,13 @@ class TestDerivation:
             PermutationKey(-1, 4)
         with pytest.raises(ValueError, match="seed"):
             PermutationKey(2**64, 4)
+        # a float or bool must not pass for an int, nor fail deep in the
+        # derivation with a TypeError
+        for seed, length, field in ((1.5, 4, "seed"), (True, 4, "seed"), (1, 4.0, "length"),
+                                    (1, True, "length"), (np.int64(1), 4, "seed"),
+                                    ("1", 4, "seed")):
+            with pytest.raises(ValueError, match=f"permutation {field} must be an integer"):
+                PermutationKey(seed, length)
 
     def test_seed_sensitivity(self):
         # distinct seeds should move almost every position
