@@ -25,7 +25,7 @@ from .metrics import MetricsReport, format_measure, mean_reports, report_all
 from .prng import mix_seed, seed_sequence
 from .scheme import Method, SchemeParams, generate_shares, seed_count
 
-CSV_HEADER = ("index", "path", "cr", "mse", "rmse", "mae", "psnr", "ssim", "npcr", "uaci")
+CSV_HEADER = ("index", "path", *MetricsReport.FIELDS)
 
 PAIRING_NOTE = "each share vs the original biometric, averaged over shares and images"
 

@@ -235,6 +235,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_batch(args) -> int:
     require_share_count(args.shares)
+    csv_path = args.csv
+    if csv_path is None and args.report is not None:
+        csv_path = args.report.with_suffix(".csv")
+    if args.report is not None and csv_path.resolve() == args.report.resolve():
+        raise UsageError(f"the per-image CSV would overwrite the JSON report {args.report}; "
+                         "give --csv another path")
     rows, report = run_batch(
         root=args.root,
         kind=args.dataset_kind,
@@ -246,9 +252,6 @@ def cmd_batch(args) -> int:
     doc = report.to_dict()
     print(json.dumps(doc, indent=2))
     _write_report(args.report, doc)
-    csv_path = args.csv
-    if csv_path is None and args.report is not None:
-        csv_path = args.report.with_suffix(".csv")
     if csv_path is not None:
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         write_batch_csv(rows, csv_path)

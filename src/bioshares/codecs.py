@@ -90,7 +90,8 @@ def load_pgm(data: bytes) -> GrayImage:
                 f"truncated pixel payload: expected {need} bytes, found {available}",
                 offset=len(data),
             )
-        pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
+        # bytes(data) is data itself for bytes input, so this view is not a copy
+        pixels = np.frombuffer(bytes(data), dtype=np.uint8, count=need, offset=pos)
         if maxval < 255:
             over = pixels > maxval
             if over.any():
@@ -98,11 +99,11 @@ def load_pgm(data: bytes) -> GrayImage:
                     f"pixel value exceeds maxval {maxval}",
                     offset=pos + int(over.argmax()),
                 )
-        return GrayImage(width, height, pixels)
+        return GrayImage.adopt(width, height, pixels)
 
     if need > (len(data) - pos) // 2:  # each value takes a separator and a digit
         raise PgmError(f"truncated pixel payload: header asks for {need} values", offset=len(data))
-    return GrayImage(width, height, _p2_values(data, pos, need, maxval))
+    return GrayImage.adopt(width, height, _p2_values(data, pos, need, maxval))
 
 
 def _p2_values(data: bytes, pos: int, need: int, maxval: int) -> np.ndarray:
@@ -190,7 +191,7 @@ def load_bmp(data: bytes) -> GrayImage:
         if int(idx.max()) >= count:
             raise BmpError("palette index out of range")
         gray = pal_gray[idx]
-    return GrayImage(width, height, gray.ravel())
+    return GrayImage.adopt(width, height, gray.ravel())
 
 
 def load_image(data: bytes) -> GrayImage:

@@ -15,7 +15,7 @@ class DimensionMismatchError(ValueError):
 
 
 class _Owned:
-    """Pixels handed over by their only holder (see GrayImage.adopt)."""
+    """Pixels nobody else can write through (see GrayImage.adopt)."""
 
     __slots__ = ("array",)
 
@@ -29,9 +29,8 @@ class GrayImage:
 
     `width` and `height` are positive ints. `data` accepts any integer
     array-like of length width*height with values in [0, 255] and is
-    normalised to a read-only uint8 copy, except that a contiguous 1-D uint8
-    view of immutable `bytes` is kept as it is, and so is an array handed
-    over by `adopt`.
+    normalised to a read-only uint8 copy, whoever else holds it; only an
+    array handed over by `adopt` is kept without a copy.
     """
 
     width: int
@@ -53,21 +52,21 @@ class GrayImage:
                 raise ValueError(f"pixel values must be integers, got dtype {arr.dtype}")
             if int(arr.min()) < 0 or int(arr.max()) > 255:
                 raise ValueError("pixel values must lie in [0, 255]")
-        if not (arr.dtype == np.uint8 and arr.strides == (1,)
-                and (owned or isinstance(arr.base, bytes))):
+        if not (owned and arr.dtype == np.uint8 and arr.strides == (1,)):
             arr = np.array(arr, dtype=np.uint8).ravel()
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
     @classmethod
     def adopt(cls, width: int, height: int, data: np.ndarray) -> "GrayImage":
-        """An image that takes over `data`, a fresh array that nobody else
-        holds: a contiguous 1-D uint8 array is frozen in place, not copied."""
+        """An image that takes over `data`, an array nobody else can write
+        through, such as a fresh result or a view of immutable `bytes`: a
+        contiguous 1-D uint8 array is frozen in place, not copied."""
         return cls(width, height, _Owned(data))
 
     @classmethod
     def filled(cls, width: int, height: int, value: int) -> "GrayImage":
-        return cls(width, height, np.full(width * height, value, dtype=np.uint8))
+        return cls.adopt(width, height, np.full(width * height, value, dtype=np.uint8))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -174,4 +173,4 @@ def bit_transform(
     """
     table = transform_lut(transform, direction).tobytes()
     pixels = img.data.tobytes().translate(table)
-    return GrayImage(img.width, img.height, np.frombuffer(pixels, dtype=np.uint8))
+    return GrayImage.adopt(img.width, img.height, np.frombuffer(pixels, dtype=np.uint8))

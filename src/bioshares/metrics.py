@@ -12,10 +12,11 @@ partial sum stays below 2**53, so MSE and MAE equal the float64 means bit for
 bit), and the means and centred sums of products that correlation and SSIM
 read. One private slot keeps the last first argument's centred float64 copy
 (8 bytes per pixel, read-only), its mean and sum of squares, and the last
-pair's sums until the next call replaces them. So each measure of a pair
-after the first reads the slot, and an original scored against its n shares
-is centred once. The slot knows its images only through weak references: a
-hit needs the very same live objects, never an equal id.
+pair's sums until the next call replaces them or that first argument is
+collected. So each measure of a pair after the first reads the slot, and an
+original scored against its n shares is centred once. The slot knows its
+images only through weak references: a hit needs the very same live
+objects, never an equal id.
 """
 
 from __future__ import annotations
@@ -42,6 +43,15 @@ class ConstantImageError(ValueError):
 _slot: tuple | None = None
 
 
+def _forget(ref: weakref.ref) -> None:
+    """Empty the slot once its first image is collected, so no copy of that
+    image's pixels outlives it. Racing a new entry at worst costs a miss."""
+    global _slot
+    slot = _slot
+    if slot is not None and slot[0] is ref:
+        _slot = None
+
+
 def _pair_sums(i: GrayImage, s: GrayImage) -> tuple:
     """Sum, sum of squares and nonzero count of |i - s|, then the means and the
     sums of da*da, db*db and da*db of both inputs centred in float64; reuses
@@ -54,7 +64,7 @@ def _pair_sums(i: GrayImage, s: GrayImage) -> tuple:
         if ref_s() is s:
             return sums
     else:
-        ref_i = weakref.ref(i)
+        ref_i = weakref.ref(i, _forget)
         da = i.data.astype(np.float64)
         mu_a = float(da.mean())
         da -= mu_a
@@ -187,20 +197,9 @@ def mean_reports(reports: Sequence[MetricsReport]) -> MetricsReport:
     if not reports:
         raise ValueError("no reports to average")
     crs = [r.cr for r in reports if r.cr is not None]
-
-    def avg(name: str) -> float:
-        return sum(getattr(r, name) for r in reports) / len(reports)
-
-    return MetricsReport(
-        cr=sum(crs) / len(crs) if crs else None,
-        mse=avg("mse"),
-        rmse=avg("rmse"),
-        mae=avg("mae"),
-        psnr=avg("psnr"),
-        ssim=avg("ssim"),
-        npcr=avg("npcr"),
-        uaci=avg("uaci"),
-    )
+    means = {name: sum(getattr(r, name) for r in reports) / len(reports)
+             for name in MetricsReport.FIELDS if name != "cr"}
+    return MetricsReport(cr=sum(crs) / len(crs) if crs else None, **means)
 
 
 def format_measure(value: float | None, digits: int = 4) -> str:

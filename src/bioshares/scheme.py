@@ -122,7 +122,7 @@ def resize_nearest(img: GrayImage, width: int, height: int) -> GrayImage:
     src = img.rows()
     ys = (np.arange(height) * img.height) // height
     xs = (np.arange(width) * img.width) // width
-    return GrayImage(width, height, src[np.ix_(ys, xs)].ravel())
+    return GrayImage.adopt(width, height, src[np.ix_(ys, xs)].ravel())
 
 
 def noise_cover(width: int, height: int, seed: int) -> GrayImage:

@@ -49,4 +49,4 @@ def textured_image(index: int, width: int = 64, height: int = 64) -> GrayImage:
     )
 
     img = 0.75 * noise + 0.25 * ridges
-    return GrayImage(width, height, np.clip(np.rint(img), 0, 255).astype(np.uint8).ravel())
+    return GrayImage.adopt(width, height, np.clip(np.rint(img), 0, 255).astype(np.uint8).ravel())

@@ -537,6 +537,30 @@ class TestBatch:
         assert "Traceback" not in err
         assert not report.exists()
 
+    def test_explicit_csv_path(self, tmp_path, corpus):
+        report, rows = tmp_path / "a" / "report.json", tmp_path / "b" / "rows.csv"
+        assert run(["batch", corpus, "--seed", "4", "--report", report, "--csv", rows]) == 0
+        assert json.loads(report.read_text())["images"] == 6
+        lines = rows.read_text().splitlines()
+        assert lines[0] == "index,path,cr,mse,rmse,mae,psnr,ssim,npcr,uaci"
+        assert len(lines) == 7
+        assert not report.with_suffix(".csv").exists()
+
+    @pytest.mark.parametrize("report, csv", [("out/r.csv", None), ("r.json", "r.json"),
+                                             ("out/r.json", "out/../out/r.json")],
+                             ids=["report-named-csv", "csv-names-report", "same-file-resolved"])
+    def test_csv_over_the_report_is_usage_error(self, tmp_path, corpus, capsys, monkeypatch,
+                                                report, csv):
+        read = []
+        monkeypatch.setattr("bioshares.batch.load_image_file", read.append)
+        monkeypatch.chdir(tmp_path)
+        argv = ["batch", corpus, "--report", report] + (["--csv", csv] if csv else [])
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert f"error: the per-image CSV would overwrite the JSON report {report}" in err
+        assert (out, read) == ("", [])
+        assert not (tmp_path / report).exists()
+
     def test_empty_corpus_is_io_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -13,12 +13,14 @@ from bioshares import (
     load_image,
     noise_cover,
     permute_image,
+    resize_nearest,
     save_pgm,
+    textured_image,
     transform_lut,
     xor_images,
 )
 
-from helpers import gray_images, image_pairs, image_triples
+from helpers import build_bmp_8bit, build_bmp_24bit, gray_images, image_pairs, image_triples
 
 
 class TestGrayImage:
@@ -42,11 +44,12 @@ class TestGrayImage:
         with pytest.raises(ValueError):
             img.data[0] = 5
 
-    def test_bytes_backed_pixels_are_not_copied(self):
+    def test_callers_bytes_view_is_copied(self):
+        # only adopt keeps an array; a view of bytes is copied like any other
         pixels = np.frombuffer(bytes([1, 2, 3, 4, 5, 6]), dtype=np.uint8)
         img = GrayImage(3, 2, pixels)
-        assert np.shares_memory(img.data, pixels)
-        assert not img.data.flags.writeable
+        assert not np.shares_memory(img.data, pixels)
+        assert img.data.tolist() == [1, 2, 3, 4, 5, 6] and not img.data.flags.writeable
 
     def test_bit_transform_and_p5_decode_keep_their_buffers(self):
         # both hand GrayImage a view of a bytes object, which it keeps as is
@@ -118,7 +121,16 @@ class TestGrayImage:
         assert inverse_permute_image(scrambled, key) == img
         xor_images(img, scrambled)
         noise_cover(2, 2, 9)
-        assert kept == [True] * 4
+        assert bit_transform(img) == GrayImage(2, 2, [160, 96, 224, 16])
+        assert resize_nearest(img, 4, 2) == GrayImage(4, 2, [5, 5, 6, 6, 7, 7, 8, 8])
+        textured_image(1, 5, 3)
+        assert GrayImage.filled(2, 1, 3) == GrayImage(2, 1, [3, 3])
+        assert load_image(b"P2 2 2 255 5 6 7 8") == img
+        assert load_image(save_pgm(img)) == img
+        assert load_image(bytearray(save_pgm(img))) == img
+        assert load_image(build_bmp_8bit(img.rows())) == img
+        assert load_image(build_bmp_24bit(np.stack([img.rows()] * 3, axis=-1))) == img
+        assert kept == [True] * 13
 
     @pytest.mark.parametrize("width, height", [(2.0, 3), (2, 3.0), (True, 6), (2, np.int64(3)),
                                                ("2", 3)])

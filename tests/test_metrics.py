@@ -1,8 +1,11 @@
 import gc
 import math
+import os
+import subprocess
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,6 +401,19 @@ class TestCentringSlot:
         del a, b
         gc.collect()
         assert [r() for r in refs] == [None, None]
+        assert metrics._slot is None  # no copy of a's pixels outlives it
+
+    def test_slot_empties_silently_at_interpreter_exit(self):
+        # the script's globals hold the slot's original, so the callback runs
+        # late in shutdown, once imports no longer work
+        script = ("import numpy as np\n"
+                  "from bioshares import GrayImage, correlation\n"
+                  "a, b = GrayImage(8, 8, np.arange(64)), GrayImage(8, 8, np.arange(64) % 7)\n"
+                  "correlation(a, b)\n")
+        src = str(Path(metrics.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-X", "dev", "-c", script], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
     def test_report_all_centres_the_original_once_and_each_share_once(self):
         rng = np.random.default_rng(8)
