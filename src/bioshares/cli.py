@@ -156,8 +156,8 @@ def cmd_enroll(args) -> int:
         raise UsageError(str(exc)) from exc
     # covers are read only once the params accept them
     covers = [load_image_file(p) for p in args.cover]
+    share_set = generate_shares(original, params, covers or None)
     try:
-        share_set = generate_shares(original, params, covers or None)
         manifest_path = save_enrollment(share_set, user, args.out)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

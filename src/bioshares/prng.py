@@ -20,7 +20,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
-SEED_BITS = 64
 SEED_MAX = _MASK
 
 

@@ -57,6 +57,10 @@ class SchemeParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         object.__setattr__(self, "cover_sources", tuple(str(p) for p in self.cover_sources))
+        if not isinstance(self.method, Method):
+            raise ValueError(f"method must be a Method, got {self.method!r}")
+        if not isinstance(self.bit_transform, BitTransform):
+            raise ValueError(f"bit transform must be a BitTransform, got {self.bit_transform!r}")
         if not isinstance(self.n, int) or isinstance(self.n, bool):
             raise ValueError(f"share count must be an integer, got {self.n!r}")
         if self.n < 2:
@@ -71,6 +75,10 @@ class SchemeParams:
             # m1 takes no seeds when covers are supplied, n-1 when generated
             if self.seeds and self.cover_sources:
                 raise ValueError(_M1_COVERS_OR_SEEDS)
+            if self.cover_sources and len(self.cover_sources) != required:
+                raise ValueError(
+                    f"method m1 takes 0 or {required} cover sources, got {len(self.cover_sources)}"
+                )
             if self.seeds and len(self.seeds) != required:
                 raise ValueError(
                     f"method m1 takes 0 or {required} seeds, got {len(self.seeds)}"
@@ -108,11 +116,6 @@ class ReconstructionResult:
 
     secret: GrayImage
     covers: tuple[GrayImage, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "covers", tuple(self.covers))
-        for cover in self.covers:
-            require_same_dims(self.secret, cover)
 
 
 def resize_nearest(img: GrayImage, width: int, height: int) -> GrayImage:
@@ -155,12 +158,9 @@ def make_covers(
         return original, covers
     if supplied:
         raise ValueError("supplied covers apply to method m1 only")
-    keys = [PermutationKey(s, original.pixel_count) for s in params.seeds]
-    if params.method is Method.M2:
-        return original, [permute_image(original, k) for k in keys]
+    keyed = [permute_image(original, PermutationKey(s, original.pixel_count)) for s in params.seeds]
     # m3: the first seed keys the secret itself
-    secret = permute_image(original, keys[0])
-    return secret, [permute_image(original, k) for k in keys[1:]]
+    return (original, keyed) if params.method is Method.M2 else (keyed[0], keyed[1:])
 
 
 def enroll(secret: GrayImage, covers: Sequence[GrayImage], params: SchemeParams) -> ShareSet:
@@ -188,7 +188,7 @@ def authenticate(share_set: ShareSet) -> ReconstructionResult:
     x = [bit_transform(s, share_set.params.bit_transform, "right") for s in share_set.shares]
     for i in range(len(x) - 1, 1, -1):
         x[i] = xor_images(x[i], x[i - 2])
-    return ReconstructionResult(x[0], x[1:])
+    return ReconstructionResult(x[0], tuple(x[1:]))
 
 
 def reveal_original(result: ReconstructionResult, params: SchemeParams) -> GrayImage:

@@ -154,6 +154,22 @@ class TestEnroll:
                     "--cover", cover, "--cover", cover]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_one_pixel_image_is_format_error(self, tmp_path, capsys):
+        # a dimension problem, as batch calls it when it skips the same image
+        path = tmp_path / "dot.pgm"
+        write_pgm_file(GrayImage.filled(1, 1, 9), path)
+        assert run(["enroll", path, "--out", tmp_path / "out", "--seed", "1"]) == 5
+        assert capsys.readouterr().err == "error: original image must have at least 2 pixels\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_bit_transform_is_usage_error(self, tmp_path, original, capsys):
+        _, path = original
+        with pytest.raises(SystemExit) as err:
+            run(["enroll", path, "--out", tmp_path / "out", "--bit-transform", "rotate:9"])
+        assert err.value.code == 2
+        assert "bad bit transform descriptor 'rotate:9'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_single_share_is_usage_error(self, tmp_path, original):
         _, path = original
         assert run(["enroll", path, "--out", tmp_path, "--shares", "1"]) == 2

@@ -259,6 +259,11 @@ class TestBitTransform:
         with pytest.raises(ValueError, match="rotation amount must be an integer"):
             BitTransform("rotate", k)
 
+    @pytest.mark.parametrize("k", [0, 8, -1])
+    def test_rotation_amount_must_be_in_range(self, k):
+        with pytest.raises(ValueError, match=f"rotation amount must be in 1..7, got {k}"):
+            BitTransform("rotate", k)
+
     def test_bad_kind_and_direction(self):
         with pytest.raises(ValueError):
             BitTransform("mirror")

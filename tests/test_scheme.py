@@ -99,6 +99,32 @@ class TestParams:
         with pytest.raises(ValueError, match="cover sources apply to method m1 only"):
             SchemeParams(Method.M3, n=4, cover_sources=("a.pgm",))
 
+    @pytest.mark.parametrize("rest", [{"n": 4, "seeds": (1, 2, 3, 4)}, {"n": 4, "seeds": (1, 2, 3)},
+                                      {"n": 1}], ids=["m3-count", "m2-count", "bad-n"])
+    def test_method_must_be_a_method(self, rest):
+        # judged first, so a str neither breaks the seed-count message nor
+        # passes for m2 and fails later in the chain
+        with pytest.raises(ValueError, match="method must be a Method, got 'm3'"):
+            SchemeParams("m3", **rest)
+
+    @pytest.mark.parametrize("transform", ["reverse8", "rotate:3", None])
+    def test_bit_transform_must_be_a_bit_transform(self, transform):
+        with pytest.raises(ValueError, match="bit transform must be a BitTransform"):
+            SchemeParams(Method.M3, n=4, seeds=(1, 2, 3, 4), bit_transform=transform)
+        with pytest.raises(ValueError, match="bit transform must be a BitTransform"):
+            SchemeParams(Method.M3, n=1, bit_transform=transform)
+
+    def test_m1_cover_source_count(self):
+        SchemeParams(Method.M1, n=4, cover_sources=("a.pgm", "b.pgm", "c.pgm"))
+        for sources in [("a.pgm",), ("a.pgm", "b.pgm"), ("a", "b", "c", "d")]:
+            with pytest.raises(ValueError, match=f"0 or 3 cover sources, got {len(sources)}"):
+                SchemeParams(Method.M1, n=4, cover_sources=sources)
+        # the m1-only and covers-or-seeds rules are judged first
+        with pytest.raises(ValueError, match="cover sources apply to method m1 only"):
+            SchemeParams(Method.M2, n=4, seeds=(1, 2, 3), cover_sources=("a.pgm",))
+        with pytest.raises(ValueError, match="supplied covers or texture seeds, not both"):
+            SchemeParams(Method.M1, n=4, seeds=(1, 2, 3), cover_sources=("a.pgm",))
+
 
 class TestShareSet:
     def test_share_count_enforced(self):
