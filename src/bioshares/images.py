@@ -106,10 +106,9 @@ def xor_images(a: GrayImage, b: GrayImage) -> GrayImage:
 class BitTransform:
     """Reversible per-pixel 8-bit transform applied to the noisy shares.
 
-    `reverse8` reverses bit order; it is an involution, so the left
-    (share-generation) and right (reconstruction) directions coincide.
-    `rotate` rotates each byte circularly by `k` bits, left on the way in
-    and right on the way back.
+    `reverse8` reverses bit order. `rotate` rotates each byte circularly
+    left by `k` bits. Enrollment applies the transform and authentication
+    its `inverse()`.
     """
 
     kind: str = "reverse8"
@@ -140,6 +139,11 @@ class BitTransform:
     def descriptor(self) -> str:
         return "reverse8" if self.kind == "reverse8" else f"rotate:{self.k}"
 
+    def inverse(self) -> "BitTransform":
+        """The transform that undoes this one: reverse8 is an involution, and
+        rotating left by k is undone by rotating left by 8 - k."""
+        return self if self.kind == "reverse8" else BitTransform("rotate", 8 - self.k)
+
 
 REVERSE8 = BitTransform()
 
@@ -147,30 +151,24 @@ _REVERSE_LUT = np.array([int(f"{v:08b}"[::-1], 2) for v in range(256)], dtype=np
 _REVERSE_LUT.setflags(write=False)
 
 
-# row k rotates each byte left by k bits; rotating right by k is row 8 - k
+# row k rotates each byte left by k bits
 _ROTATE_LUTS = np.array(
     [[((v << k) | (v >> (8 - k))) & 0xFF for v in range(256)] for k in range(8)], dtype=np.uint8
 )
 _ROTATE_LUTS.setflags(write=False)
 
 
-def transform_lut(transform: BitTransform, direction: str = "left") -> np.ndarray:
-    """256-entry lookup table realising the transform in the given direction."""
-    if direction not in ("left", "right"):
-        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
-    if transform.kind == "reverse8":
-        return _REVERSE_LUT
-    return _ROTATE_LUTS[transform.k if direction == "left" else 8 - transform.k]
+def transform_lut(transform: BitTransform) -> np.ndarray:
+    """256-entry lookup table realising the transform."""
+    return _REVERSE_LUT if transform.kind == "reverse8" else _ROTATE_LUTS[transform.k]
 
 
-def bit_transform(
-    img: GrayImage, transform: BitTransform = REVERSE8, direction: str = "left"
-) -> GrayImage:
+def bit_transform(img: GrayImage, transform: BitTransform = REVERSE8) -> GrayImage:
     """Apply the per-pixel transform to every pixel of the image.
 
     The lookup table is applied as a `bytes.translate` table, one byte per
     byte, so no pixel is widened to an index.
     """
-    table = transform_lut(transform, direction).tobytes()
+    table = transform_lut(transform).tobytes()
     pixels = img.data.tobytes().translate(table)
     return GrayImage.adopt(img.width, img.height, np.frombuffer(pixels, dtype=np.uint8))

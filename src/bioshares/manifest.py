@@ -195,4 +195,4 @@ def load_share_set(manifest: EnrollmentManifest, share_dir: str | Path) -> Share
         if pixel_digest(img) != digest:
             raise IntegrityError(f"digest mismatch for share file {rel}")
         shares.append(img)
-    return ShareSet(tuple(shares), manifest.params, manifest.dims)
+    return ShareSet(tuple(shares), manifest.params)

@@ -132,24 +132,16 @@ def derive_permutation(key: PermutationKey) -> np.ndarray:
     return out
 
 
-def _require_length(img: GrayImage, key: PermutationKey) -> None:
-    if key.length != img.pixel_count:
-        raise ValueError(
-            f"permutation length {key.length} does not match image pixel count {img.pixel_count}"
-        )
-
-
-def permute_image(img: GrayImage, key: PermutationKey) -> GrayImage:
-    """Scramble pixels: output pixel j is input pixel perm[j]."""
-    _require_length(img, key)
-    perm = derive_permutation(key)
+def permute_image(img: GrayImage, seed: int) -> GrayImage:
+    """Scramble pixels under the seed's permutation of the image's pixel
+    count: output pixel j is input pixel perm[j]."""
+    perm = derive_permutation(PermutationKey(seed, img.pixel_count))
     return GrayImage.adopt(img.width, img.height, img.data[perm])
 
 
-def inverse_permute_image(img: GrayImage, key: PermutationKey) -> GrayImage:
-    """Undo permute_image with the same key, bit-exactly."""
-    _require_length(img, key)
-    perm = derive_permutation(key)
+def inverse_permute_image(img: GrayImage, seed: int) -> GrayImage:
+    """Undo permute_image with the same seed, bit-exactly."""
+    perm = derive_permutation(PermutationKey(seed, img.pixel_count))
     out = np.empty(img.pixel_count, dtype=np.uint8)
     out[perm] = img.data
     return GrayImage.adopt(img.width, img.height, out)

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .images import REVERSE8, BitTransform, GrayImage, bit_transform, require_same_dims, xor_images
-from .permutation import PermutationKey, inverse_permute_image, permute_image
+from .permutation import inverse_permute_image, permute_image
 from .prng import SEED_MAX, random_bytes
 
 
@@ -91,11 +91,10 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class ShareSet:
-    """The n stored shares plus the parameters that produced them."""
+    """The n stored shares, all of one size, and the parameters that produced them."""
 
     shares: tuple[GrayImage, ...]
     params: SchemeParams
-    dims: tuple[int, int]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shares", tuple(self.shares))
@@ -106,8 +105,12 @@ class ShareSet:
         for share in self.shares:
             if share.dims != self.dims:
                 raise ValueError(
-                    f"share dimensions {share.dims} differ from declared {self.dims}"
+                    f"share dimensions {share.dims} differ from the first share's {self.dims}"
                 )
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.shares[0].dims
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ def make_covers(
         return original, covers
     if supplied:
         raise ValueError("supplied covers apply to method m1 only")
-    keyed = [permute_image(original, PermutationKey(s, original.pixel_count)) for s in params.seeds]
+    keyed = [permute_image(original, s) for s in params.seeds]
     # m3: the first seed keys the secret itself
     return (original, keyed) if params.method is Method.M2 else (keyed[0], keyed[1:])
 
@@ -168,7 +171,7 @@ def enroll(secret: GrayImage, covers: Sequence[GrayImage], params: SchemeParams)
 
     noisy = [secret, *covers], then noisy[i] ^= noisy[i-2] for i >= 2 in
     ascending order: the paper's two chains as one (see the module docstring);
-    share[i] = left bit transform of noisy[i].
+    share[i] = bit transform of noisy[i].
     """
     covers = list(covers)
     if len(covers) != params.n - 1:
@@ -178,14 +181,15 @@ def enroll(secret: GrayImage, covers: Sequence[GrayImage], params: SchemeParams)
     noisy = [secret, *covers]
     for i in range(2, len(noisy)):
         noisy[i] = xor_images(noisy[i], noisy[i - 2])
-    shares = tuple(bit_transform(ns, params.bit_transform, "left") for ns in noisy)
-    return ShareSet(shares, params, secret.dims)
+    shares = tuple(bit_transform(ns, params.bit_transform) for ns in noisy)
+    return ShareSet(shares, params)
 
 
 def authenticate(share_set: ShareSet) -> ReconstructionResult:
     """Invert the enrollment chain, x[i] = noisy[i] ^ noisy[i-2] for i >= 2, in
     place from the top down; requires the complete set of n shares."""
-    x = [bit_transform(s, share_set.params.bit_transform, "right") for s in share_set.shares]
+    inverse = share_set.params.bit_transform.inverse()
+    x = [bit_transform(s, inverse) for s in share_set.shares]
     for i in range(len(x) - 1, 1, -1):
         x[i] = xor_images(x[i], x[i - 2])
     return ReconstructionResult(x[0], tuple(x[1:]))
@@ -202,8 +206,7 @@ def reveal_original(result: ReconstructionResult, params: SchemeParams) -> GrayI
         return result.secret
     if not params.seeds:
         raise ValueError("method m3 needs the secret permutation seed to undo the distortion")
-    key = PermutationKey(params.seeds[0], result.secret.pixel_count)
-    return inverse_permute_image(result.secret, key)
+    return inverse_permute_image(result.secret, params.seeds[0])
 
 
 def generate_shares(

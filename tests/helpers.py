@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from bioshares import (
+    BitTransform,
     ConstantImageError,
     GrayImage,
     MetricsReport,
@@ -21,6 +22,10 @@ from bioshares import (
     transform_lut,
 )
 from bioshares.metrics import SSIM_C1, SSIM_C2
+
+TRANSFORMS = [BitTransform("reverse8")] + [BitTransform("rotate", k) for k in range(1, 8)]
+"""Every bit transform a scheme can use."""
+TRANSFORM_IDS = [t.descriptor() for t in TRANSFORMS]
 
 
 @st.composite
@@ -83,9 +88,9 @@ def random_bytes_reference(seed, count):
     return (splitmix64_reference(seed, count) & np.uint64(0xFF)).astype(np.uint8)
 
 
-def bit_transform_reference(img, transform, direction="left"):
+def bit_transform_reference(img, transform):
     """The transform as a numpy fancy-index lookup."""
-    lut = transform_lut(transform, direction)
+    lut = transform_lut(transform)
     return GrayImage(img.width, img.height, lut[img.data])
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from bioshares import (
     GrayImage,
-    PermutationKey,
     load_manifest,
     load_pgm,
     permute_image,
@@ -13,6 +12,7 @@ from bioshares import (
     textured_image,
     write_pgm_file,
 )
+from bioshares import manifest as manifest_module
 from bioshares.cli import main
 
 from helpers import random_image, report_from_dict
@@ -262,8 +262,7 @@ class TestAuthenticate:
         assert secret != img  # m3 secret stays permuted
         # and it equals the enrollment-time secret exactly
         manifest = load_manifest(manifest_path)
-        key = PermutationKey(manifest.params.seeds[0], img.pixel_count)
-        assert secret == permute_image(img, key)
+        assert secret == permute_image(img, manifest.params.seeds[0])
         assert (out / "alice_reconstructed_cover_3.pgm").exists()
 
     def test_m2_secret_equals_original(self, tmp_path, original):
@@ -288,6 +287,34 @@ class TestAuthenticate:
         blob[-1] ^= 0x01
         target.write_bytes(bytes(blob))
         assert run(["authenticate", manifest_path, "--out", tmp_path / "rec"]) == 4
+
+    def test_re_enroll_crash_before_manifest(self, tmp_path, original, enrolled, monkeypatch,
+                                             capsys):
+        # a re-enrollment that dies between its shares and its manifest
+        # leaves the new shares beside the first enrollment's manifest
+        _, manifest_path, store = enrolled
+        first = tmp_path / "first"
+        assert run(["authenticate", manifest_path, "--out", first]) == 0
+
+        def crash(manifest, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(manifest_module, "save_manifest", crash)
+        assert run(["enroll", original[1], "--out", store, "--method", "m3",
+                    "--shares", "4", "--seed", "8"]) == 3
+        assert capsys.readouterr().err == "i/o error: disk full\n"
+        after = tmp_path / "after"
+        code = run(["authenticate", manifest_path, "--out", after])
+        # either the first enrollment comes back byte for byte, or the
+        # command refuses the store as an integrity failure
+        if code == 0:
+            assert sorted(p.name for p in after.iterdir()) == sorted(p.name for p in first.iterdir())
+            for path in first.iterdir():
+                assert (after / path.name).read_bytes() == path.read_bytes()
+        else:
+            assert code == 4
+            assert capsys.readouterr().err.startswith("integrity error: ")
+            assert not after.exists()
 
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert run(["authenticate", tmp_path / "absent.json"]) == 3

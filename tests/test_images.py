@@ -7,7 +7,6 @@ from bioshares import (
     BitTransform,
     DimensionMismatchError,
     GrayImage,
-    PermutationKey,
     bit_transform,
     inverse_permute_image,
     load_image,
@@ -20,7 +19,15 @@ from bioshares import (
     xor_images,
 )
 
-from helpers import build_bmp_8bit, build_bmp_24bit, gray_images, image_pairs, image_triples
+from helpers import (
+    TRANSFORM_IDS,
+    TRANSFORMS,
+    build_bmp_8bit,
+    build_bmp_24bit,
+    gray_images,
+    image_pairs,
+    image_triples,
+)
 
 
 class TestGrayImage:
@@ -116,9 +123,8 @@ class TestGrayImage:
 
         monkeypatch.setattr(GrayImage, "adopt", classmethod(spy))
         img = GrayImage(2, 2, [5, 6, 7, 8])
-        key = PermutationKey(3, 4)
-        scrambled = permute_image(img, key)
-        assert inverse_permute_image(scrambled, key) == img
+        scrambled = permute_image(img, 3)
+        assert inverse_permute_image(scrambled, 3) == img
         xor_images(img, scrambled)
         noise_cover(2, 2, 9)
         assert bit_transform(img) == GrayImage(2, 2, [160, 96, 224, 16])
@@ -219,25 +225,31 @@ class TestBitTransform:
             assert bin(int(lut[v])).count("1") == bin(v).count("1")
 
     def test_reverse8_directions_coincide(self):
-        img = GrayImage(16, 16, np.arange(256, dtype=np.uint8))
-        assert bit_transform(img, REVERSE8, "left") == bit_transform(img, REVERSE8, "right")
+        assert REVERSE8.inverse() == REVERSE8
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_rotate_left_then_right_is_identity(self, k):
         t = BitTransform("rotate", k)
+        assert t.inverse() == BitTransform("rotate", 8 - k)
         img = GrayImage(16, 16, np.arange(256, dtype=np.uint8))
-        assert bit_transform(bit_transform(img, t, "left"), t, "right") == img
+        assert bit_transform(bit_transform(img, t), t.inverse()) == img
+
+    @pytest.mark.parametrize("t", TRANSFORMS, ids=TRANSFORM_IDS)
+    def test_inverse_undoes_every_byte(self, t):
+        assert t.inverse().inverse() == t
+        lut = transform_lut(t)
+        assert transform_lut(t.inverse())[lut].tolist() == list(range(256))
 
     def test_rotate_known_value(self):
-        lut = transform_lut(BitTransform("rotate", 1), "left")
+        lut = transform_lut(BitTransform("rotate", 1))
         assert lut[0b10000000] == 0b00000001
         assert lut[0b00000001] == 0b00000010
-        lut3 = transform_lut(BitTransform("rotate", 3), "left")
+        lut3 = transform_lut(BitTransform("rotate", 3))
         assert lut3[0b00000001] == 0b00001000
 
     @given(gray_images())
     def test_reverse8_round_trip_on_images(self, img):
-        assert bit_transform(bit_transform(img, REVERSE8, "left"), REVERSE8, "right") == img
+        assert bit_transform(bit_transform(img, REVERSE8), REVERSE8.inverse()) == img
 
     def test_parse_descriptor(self):
         assert BitTransform.parse("reverse8") == REVERSE8
@@ -264,11 +276,8 @@ class TestBitTransform:
         with pytest.raises(ValueError, match=f"rotation amount must be in 1..7, got {k}"):
             BitTransform("rotate", k)
 
-    def test_bad_kind_and_direction(self):
+    def test_bad_kind(self):
         with pytest.raises(ValueError):
             BitTransform("mirror")
         with pytest.raises(ValueError):
             BitTransform("reverse8", 3)
-        img = GrayImage(1, 1, [1])
-        with pytest.raises(ValueError, match="direction"):
-            bit_transform(img, REVERSE8, "up")

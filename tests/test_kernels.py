@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bioshares import (
-    BitTransform,
     GrayImage,
     PermutationKey,
     bit_transform,
@@ -20,6 +19,8 @@ from bioshares import (
 )
 
 from helpers import (
+    TRANSFORM_IDS,
+    TRANSFORMS,
     bit_transform_reference,
     derive_permutation_reference,
     gray_images,
@@ -28,8 +29,6 @@ from helpers import (
 )
 
 SEEDS = st.integers(0, 2**64 - 1)
-TRANSFORMS = [BitTransform("reverse8")] + [BitTransform("rotate", k) for k in range(1, 8)]
-TRANSFORM_IDS = [t.descriptor() for t in TRANSFORMS]
 
 
 def same_array(a, b):
@@ -72,20 +71,21 @@ class TestSplitMix64:
 
 
 class TestBitTransform:
+    # enrollment applies the transform (left), authentication its inverse() (right)
     @pytest.mark.parametrize("direction", ["left", "right"])
     @pytest.mark.parametrize("transform", TRANSFORMS, ids=TRANSFORM_IDS)
     def test_every_byte_value(self, transform, direction):
+        if direction == "right":
+            transform = transform.inverse()
         img = GrayImage(256, 1, np.arange(256))
-        assert bit_transform(img, transform, direction) == bit_transform_reference(
-            img, transform, direction)
+        assert bit_transform(img, transform) == bit_transform_reference(img, transform)
 
-    @given(gray_images(max_side=33), st.sampled_from(TRANSFORMS),
-           st.sampled_from(["left", "right"]))
+    @given(gray_images(max_side=33), st.sampled_from(TRANSFORMS))
     @settings(max_examples=200, deadline=None)
-    def test_images_match_reference(self, img, transform, direction):
-        out = bit_transform(img, transform, direction)
+    def test_images_match_reference(self, img, transform):
+        out = bit_transform(img, transform)
         assert out.dims == img.dims
-        assert same_array(out.data, bit_transform_reference(img, transform, direction).data)
+        assert same_array(out.data, bit_transform_reference(img, transform).data)
 
 
 class TestDerivePermutation:

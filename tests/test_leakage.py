@@ -43,7 +43,7 @@ def _histogram(img: GrayImage) -> list[int]:
 
 
 def _unmasked(share: GrayImage, transform: BitTransform) -> GrayImage:
-    return bit_transform(share, transform, "right")
+    return bit_transform(share, transform.inverse())
 
 
 CASES = [
@@ -57,8 +57,8 @@ CASES = [
 @pytest.mark.parametrize("method,n,transform", CASES)
 def test_shares_1_and_2_are_transforms_of_secret_and_first_cover(method, n, transform):
     _, secret, covers, shares = _enrollment(method, n, transform)
-    assert shares[0] == bit_transform(secret, transform, "left")
-    assert shares[1] == bit_transform(covers[0], transform, "left")
+    assert shares[0] == bit_transform(secret, transform)
+    assert shares[1] == bit_transform(covers[0], transform)
 
 
 @pytest.mark.parametrize(

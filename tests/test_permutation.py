@@ -87,9 +87,8 @@ class TestApply:
         # stub the derived permutation by finding a seed-free check: apply
         # the documented rule directly through a crafted key is not possible,
         # so verify the rule out[j] = in[perm[j]] against derive_permutation.
-        key = PermutationKey(99, 4)
-        perm = derive_permutation(key)
-        out = permute_image(img, key)
+        perm = derive_permutation(PermutationKey(99, 4))
+        out = permute_image(img, 99)
         assert out.data.tolist() == [img.data[p] for p in perm.tolist()]
 
     def test_defined_mapping(self):
@@ -104,39 +103,30 @@ class TestApply:
     def test_histogram_preserved(self):
         rng = np.random.default_rng(3)
         img = random_image(rng, 16, 8)
-        out = permute_image(img, PermutationKey(77, 128))
+        out = permute_image(img, 77)
         assert np.bincount(out.data, minlength=256).tolist() == \
             np.bincount(img.data, minlength=256).tolist()
 
     def test_constant_image_invariant(self):
         img = GrayImage.filled(8, 8, 42)
-        assert permute_image(img, PermutationKey(5, 64)) == img
-
-    def test_length_mismatch(self):
-        img = GrayImage.filled(4, 4, 0)
-        with pytest.raises(ValueError, match="does not match"):
-            permute_image(img, PermutationKey(1, 15))
-        with pytest.raises(ValueError, match="does not match"):
-            inverse_permute_image(img, PermutationKey(1, 17))
+        assert permute_image(img, 5) == img
 
     @given(gray_images())
     @settings(max_examples=50)
     def test_round_trip(self, img):
-        key = PermutationKey(0xDEADBEEF, img.pixel_count)
-        assert inverse_permute_image(permute_image(img, key), key) == img
+        seed = 0xDEADBEEF
+        assert inverse_permute_image(permute_image(img, seed), seed) == img
 
     def test_round_trip_many_keys(self):
         rng = np.random.default_rng(11)
         for k in range(100):
             img = random_image(rng, 8, 8)
-            key = PermutationKey(int(rng.integers(0, 2**63)), 64)
-            assert inverse_permute_image(permute_image(img, key), key) == img
+            seed = int(rng.integers(0, 2**63))
+            assert inverse_permute_image(permute_image(img, seed), seed) == img
 
     def test_wrong_key_does_not_invert(self):
         rng = np.random.default_rng(13)
         for k in range(100):
             img = random_image(rng, 64, 64)
-            right = PermutationKey(2 * k, img.pixel_count)
-            wrong = PermutationKey(2 * k + 1, img.pixel_count)
-            scrambled = permute_image(img, right)
-            assert inverse_permute_image(scrambled, wrong) != img
+            scrambled = permute_image(img, 2 * k)
+            assert inverse_permute_image(scrambled, 2 * k + 1) != img

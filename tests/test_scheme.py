@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bioshares import (
-    BitTransform,
     GrayImage,
     Method,
-    PermutationKey,
     ReconstructionResult,
     SchemeParams,
     ShareSet,
@@ -24,7 +22,7 @@ from bioshares import (
 )
 from bioshares.prng import seed_sequence
 
-from helpers import random_image
+from helpers import TRANSFORM_IDS, TRANSFORMS, random_image
 
 
 def _rev8(v):
@@ -131,13 +129,13 @@ class TestShareSet:
         params = SchemeParams(Method.M1, n=3)
         imgs = [GrayImage.filled(2, 2, v) for v in (1, 2)]
         with pytest.raises(ValueError, match="incomplete"):
-            ShareSet(tuple(imgs), params, (2, 2))
+            ShareSet(tuple(imgs), params)
 
     def test_dims_enforced(self):
         params = SchemeParams(Method.M1, n=2)
         imgs = (GrayImage.filled(2, 2, 1), GrayImage.filled(2, 3, 2))
         with pytest.raises(ValueError, match="dimensions"):
-            ShareSet(imgs, params, (2, 2))
+            ShareSet(imgs, params)
 
 
 class TestEnrollChain:
@@ -194,7 +192,7 @@ class TestEnrollChain:
 class TestAuthenticate:
     def test_inverse_of_hand_trace(self):
         shares = (GrayImage(1, 1, [85]), GrayImage(1, 1, [51]))
-        result = authenticate(ShareSet(shares, SchemeParams(Method.M1, n=2), (1, 1)))
+        result = authenticate(ShareSet(shares, SchemeParams(Method.M1, n=2)))
         assert int(result.secret.data[0]) == 170
         assert int(result.covers[0].data[0]) == 204
 
@@ -209,14 +207,17 @@ class TestAuthenticate:
         assert result.secret == secret
         assert list(result.covers) == covers
 
-    def test_round_trip_with_rotate_transform(self):
-        rng = np.random.default_rng(5)
-        secret = random_image(rng, 8, 8)
-        covers = [random_image(rng, 8, 8) for _ in range(3)]
-        params = SchemeParams(Method.M1, n=4, bit_transform=BitTransform("rotate", 3))
+    @pytest.mark.parametrize("transform", TRANSFORMS, ids=TRANSFORM_IDS)
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+    def test_round_trip_every_transform(self, method, transform):
+        original = random_image(np.random.default_rng(5), 8, 8)
+        seeds = seed_sequence(5, seed_count(method, 4))
+        params = SchemeParams(method, n=4, bit_transform=transform, seeds=seeds)
+        secret, covers = make_covers(original, params)
         result = authenticate(enroll(secret, covers, params))
         assert result.secret == secret
         assert list(result.covers) == covers
+        assert reveal_original(result, params) == original
 
     def test_subset_of_shares_refused(self):
         rng = np.random.default_rng(6)
@@ -224,7 +225,7 @@ class TestAuthenticate:
         covers = [random_image(rng, 4, 4) for _ in range(3)]
         share_set = enroll(secret, covers, SchemeParams(Method.M1, n=4))
         with pytest.raises(ValueError):
-            ShareSet(share_set.shares[:-1], share_set.params, share_set.dims)
+            ShareSet(share_set.shares[:-1], share_set.params)
 
 
 class TestMakeCovers:
@@ -236,14 +237,14 @@ class TestMakeCovers:
         secret, covers = make_covers(original, params)
         assert secret == original
         for seed, cover in zip(seeds, covers):
-            assert cover == permute_image(original, PermutationKey(seed, 64))
+            assert cover == permute_image(original, seed)
 
     def test_m3_secret_is_permuted_and_histograms_match(self):
         rng = np.random.default_rng(32)
         original = random_image(rng, 8, 8)
         params = SchemeParams(Method.M3, n=4, seeds=(1, 2, 3, 4))
         secret, covers = make_covers(original, params)
-        assert secret == permute_image(original, PermutationKey(1, 64))
+        assert secret == permute_image(original, 1)
         assert secret != original
         hist = np.bincount(original.data, minlength=256).tolist()
         for img in [secret] + covers:
