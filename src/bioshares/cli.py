@@ -1,8 +1,9 @@
 """Command-line interface: enroll, authenticate, evaluate, batch.
 
-Exit codes: 0 success, 2 usage, 3 I/O (including an empty corpus), 4
-integrity (digest mismatch or missing share), 5 image format or dimension
-problems.
+Exit codes: 0 success, 2 usage, 3 I/O (including an empty corpus, and
+running out of memory, which prints `error: out of memory` and no
+traceback), 4 integrity (digest mismatch or missing share), 5 image format
+or dimension problems.
 """
 
 from __future__ import annotations
@@ -282,6 +283,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

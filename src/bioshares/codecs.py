@@ -1,8 +1,8 @@
 """Image codecs: PGM (P2 ASCII and P5 binary, maxval <= 255) and uncompressed
 BMP (8-bit palette or 24-bit BGR). The PGM writer always emits binary P5 with
-maxval 255, so save/load round-trips are bit-exact. A P2 body is parsed as a
-whole: comments are blanked, the body is cut at the first byte that is
-neither a digit nor whitespace, then split once and checked against maxval."""
+maxval 255, so save/load round-trips are bit-exact. A P2 body is parsed as
+whole arrays, each value from the last three digits of its token; only a body
+that fails is read again one token at a time, to report where."""
 
 from __future__ import annotations
 
@@ -30,11 +30,12 @@ class BmpError(ValueError):
 
 # PGM whitespace is the six ASCII bytes bytes.split() splits on; a '#'
 # comment runs to the end of its line and counts as whitespace
-_WS = rb" \t\r\n\x0b\x0c"
+_WS = b" \t\r\n\x0b\x0c"
 _COMMENT = re.compile(rb"#[^\n]*")
 _SPACE = re.compile(rb"(?:[%s]|%s)*" % (_WS, _COMMENT.pattern))
 _STRAY = re.compile(rb"[^0-9%s]" % _WS)
 _DIGITS = re.compile(rb"[0-9]+")
+_TEXT = b"0123456789" + _WS
 
 
 # no PGM field needs more significant digits than 2**64 has; a longer token
@@ -107,28 +108,45 @@ def load_pgm(data: bytes) -> GrayImage:
 
 
 def _p2_values(data: bytes, pos: int, need: int, maxval: int) -> np.ndarray:
-    """The first `need` P2 values after byte `pos`. Comments are blanked to
-    spaces, so offsets hold; values end at the first byte that is neither a
-    digit nor whitespace; a value above maxval is reported before a short
-    count, in the order a token-at-a-time reader meets them. A value of
-    more than _MAX_DIGITS significant digits is above maxval, unconverted."""
-    body = _COMMENT.sub(lambda m: b" " * len(m[0]), data[pos:])
-    stray = _STRAY.search(body)
-    tokens = body[: stray.start() if stray else None].split(None, need)[:need]
-    try:
-        values = list(map(int, tokens))
-    except ValueError:  # a token beyond int()'s digit limit
-        values = list(map(_decimal, tokens))
-    if max(values, default=0) > maxval:
-        for value, match in zip(values, _DIGITS.finditer(body)):
+    """The first `need` P2 values after byte `pos`, parsed as whole arrays.
+    Comments are blanked to spaces, so offsets hold; values end at the first
+    byte that is neither a digit nor whitespace. Each value is read from its
+    token's last three digits, weighted 1, 10 and 100 in uint16; a nonzero
+    digit before those puts a token above every maxval. A body that fails is
+    read again one token at a time, which meets a value above maxval before
+    a short count and reports it at its own offset."""
+    body = b"  " + memoryview(data)[pos:]  # every token's last digit has two bytes before it
+    if b"#" in body:
+        body = _COMMENT.sub(lambda m: b" " * len(m[0]), body)
+    cut = _STRAY.search(body).start() if body.translate(None, _TEXT) else len(body)
+    text = np.frombuffer(body, np.uint8, count=cut)
+    digit = np.zeros(cut + 1, bool)  # the byte at `cut` ends the last token
+    np.greater_equal(text, ord("0"), out=digit[:-1])  # only digits and whitespace are left
+    digits = text - ord("0")
+    digits *= digit[:-1]
+    last = digit[2:-1] > digit[3:]  # last[i]: byte i + 2 ends a token
+    # the hundreds place counts only when the tens place is a digit too
+    values = np.multiply(digits[:-2], digit[1:-2], dtype=np.uint16)
+    values *= 10
+    values += digits[1:-1]
+    values *= 10
+    values += digits[2:]
+    values = values[last][:need]
+    # a nonzero digit with three more digits after it in its token
+    lead = (digits[:-3] > 0) & digit[1:-3] & digit[2:-2] & digit[3:-1]
+    if (len(values) < need or values.max() > maxval
+            or (lead.any() and np.count_nonzero(last[: lead.argmax() - 2]) < need)):
+        found = 0
+        for match in _DIGITS.finditer(body, 0, cut):
+            value = _decimal(match[0])
             if value > maxval:
                 shown = value if value < _TOO_LONG else f"of more than {_MAX_DIGITS} digits"
                 raise PgmError(f"pixel value {shown} exceeds maxval {maxval}",
-                               offset=pos + match.start())
-    if len(tokens) < need:
-        raise PgmError(f"truncated pixel payload: expected {need} values, found {len(tokens)}",
+                               offset=pos - 2 + match.start())
+            found += 1
+        raise PgmError(f"truncated pixel payload: expected {need} values, found {found}",
                        offset=len(data))
-    return np.array(values, dtype=np.uint8)
+    return values.astype(np.uint8)
 
 
 def save_pgm(img: GrayImage) -> bytes:

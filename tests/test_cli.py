@@ -12,6 +12,7 @@ from bioshares import (
     textured_image,
     write_pgm_file,
 )
+from bioshares import codecs as codecs_module
 from bioshares import manifest as manifest_module
 from bioshares.cli import main
 
@@ -235,6 +236,16 @@ class TestEnroll:
         err = capsys.readouterr().err
         assert ("format error: malformed header: width has more than 20 digits"
                 " (byte offset 3)") in err
+
+    def test_out_of_memory_is_io_error(self, tmp_path, original, monkeypatch, capsys):
+        # an honest image too large for the memory at hand
+        def exhausted(data):
+            raise MemoryError
+
+        monkeypatch.setattr(codecs_module, "load_pgm", exhausted)
+        assert run(["enroll", original[1], "--out", tmp_path / "out", "--seed", "1"]) == 3
+        assert capsys.readouterr().err == "error: out of memory\n"  # and no traceback
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_flag_exits_two(self, tmp_path, original):
         _, path = original

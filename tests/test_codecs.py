@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,9 @@ from bioshares import (
 )
 
 from helpers import build_bmp_8bit, build_bmp_24bit, gray_images, load_pgm_token_loop
+
+P2_BYTES_PER_INPUT_BYTE = 10
+"""Budget for the traced peak of a P2 decode, per byte of the file."""
 
 
 class TestPgmReader:
@@ -46,6 +51,18 @@ class TestPgmReader:
         assert err.value.offset == len(data)
         # the densest payload, one separator and one digit per value, still decodes
         assert load_pgm(b"P2 3 1 9 1 2 3") == GrayImage(3, 1, [1, 2, 3])
+
+    def test_p2_memory_budget(self):
+        # a parse that makes one Python object per value peaks near 15 bytes
+        # per input byte, so the budget catches a return to one
+        _, data = iitd_sized_p2()
+        tracemalloc.start()
+        try:
+            load_pgm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < P2_BYTES_PER_INPUT_BYTE * len(data)
 
     def test_comments_tolerated(self):
         img = load_pgm(b"P2 # comment\n# another full line\n2 1 # maxval next\n255\n3 4")
@@ -161,6 +178,36 @@ def pgm_files(draw):
     return b"P2" + header + b"".join(s + t for s, t in pairs) + tail
 
 
+@st.composite
+def long_p2_files(draw):
+    """P2 files of up to 64x64 pixels, mostly values within maxval, so the
+    whole-array parse sees long runs. A few tokens and separators are swapped
+    for leading zeros, values above maxval, comments and stray bytes, and the
+    last value is sometimes missing."""
+    w, h = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    maxval = draw(st.sampled_from([1, 9, 99, 200, 255]))
+    raw = draw(st.binary(min_size=w * h, max_size=w * h))
+    tokens = [b"%d" % (v % (maxval + 1)) for v in raw]
+    seps = [b" \t\r\n\x0b\x0c"[v % 6:v % 6 + 1] for v in raw[::-1]]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, w * h - 1))
+        if draw(st.booleans()):
+            tokens[at] = draw(TOKEN)
+        else:
+            seps[at] = draw(SEPARATOR)
+    count = w * h - draw(st.integers(0, 1))
+    header = b"P2\n%d %d\n%d" % (w, h, maxval)
+    return header + b"".join(s + t for s, t in zip(seps[:count], tokens[:count]))
+
+
+def iitd_sized_p2():
+    """Random 320x240 pixels and their P2 file, one text row per image row."""
+    rng = np.random.default_rng(7)
+    values = rng.integers(0, 256, 320 * 240)
+    rows = (b" ".join(b"%d" % v for v in values[r * 320:(r + 1) * 320]) for r in range(240))
+    return values, b"P2\n# generated\n320 240\n255\n" + b"\n".join(rows) + b"\n"
+
+
 class TestAgainstTokenLoop:
     """The regex header and whole-array P2 reader decode, or fail, exactly as
     the reader that takes one token at a time."""
@@ -187,15 +234,29 @@ class TestAgainstTokenLoop:
         b"P2 1 " + b"2" * 5000 + b" 255 3",
         b"P5 1 1 " + b"0" * 5000 + b"255 \x07",
         b"P5 1 1 " + b"2" * 21 + b" \x07",
+        b"P2 2 1 255 007 000",  # leading zeros within three digits
+        b"P2 1 1 255 0255",  # four digits, the first a zero: within maxval
+        b"P2 1 1 255 0256",  # four digits, the first a zero: over maxval
+        b"P2 1 1 255 " + b"0" * 30 + b"255",
+        b"P2 2 1 255 7 01000",  # a nonzero digit before the last three
+        b"P2 2 1 255 7 2 12345",  # past the last pixel, so not read
+        b"P2 2 1 255 7 256",  # three digits over maxval
+        b"P2 3 1 9 9 0 9",  # equal to maxval
+        b"P2 2 1 255 7 200",  # the last value ends at the end of the file
+        b"P2 1 1 255 \t\r\n\x0b\x0c ",  # a body of whitespace only
+        b"P2 6 1 255\n1 2\t3\r4\n5\x0b6\x0c",  # every whitespace byte separates
+        b"P2 2 1 255 12#note 7\n34",  # a comment between two values
     ])
     def test_edge_cases(self, data):
         assert decode_outcome(load_pgm, data) == decode_outcome(load_pgm_token_loop, data)
 
+    @given(long_p2_files())
+    @settings(max_examples=100, deadline=None)
+    def test_long_bodies(self, data):
+        assert decode_outcome(load_pgm, data) == decode_outcome(load_pgm_token_loop, data)
+
     def test_iitd_sized_file(self):
-        rng = np.random.default_rng(7)
-        values = rng.integers(0, 256, 320 * 240)
-        rows = (b" ".join(b"%d" % v for v in values[r * 320:(r + 1) * 320]) for r in range(240))
-        data = b"P2\n# generated\n320 240\n255\n" + b"\n".join(rows) + b"\n"
+        values, data = iitd_sized_p2()
         assert load_pgm(data) == GrayImage(320, 240, values)
         assert decode_outcome(load_pgm, data) == decode_outcome(load_pgm_token_loop, data)
 
