@@ -63,7 +63,6 @@ from .permutation import (
 from .prng import mix_seed, random_bytes, seed_sequence, splitmix64
 from .scheme import (
     Method,
-    ReconstructionResult,
     SchemeParams,
     ShareSet,
     authenticate,

@@ -188,17 +188,17 @@ def cmd_authenticate(args) -> int:
             params = dataclasses.replace(params, seeds=args.seeds)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    result = authenticate(share_set)
+    secret, covers = authenticate(share_set)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     user = manifest.user_id
-    write_pgm_file(result.secret, out_dir / f"{user}_reconstructed_secret.pgm")
-    for i, cover in enumerate(result.covers, start=1):
+    write_pgm_file(secret, out_dir / f"{user}_reconstructed_secret.pgm")
+    for i, cover in enumerate(covers, start=1):
         write_pgm_file(cover, out_dir / f"{user}_reconstructed_cover_{i}.pgm")
-    print(f"digests verified; reconstructed secret and {len(result.covers)} covers -> {out_dir}")
+    print(f"digests verified; reconstructed secret and {len(covers)} covers -> {out_dir}")
 
     if params.method is Method.M3:
-        revealed = reveal_original(result, params)
+        revealed = reveal_original(secret, params)
         write_pgm_file(revealed, out_dir / f"{user}_revealed_original.pgm")
         print(f"revealed original -> {out_dir / (user + '_revealed_original.pgm')}")
     return EXIT_OK

@@ -28,6 +28,15 @@ class BmpError(ValueError):
     """Malformed or unsupported BMP input."""
 
 
+MAX_PIXELS = 2**26
+"""The most pixels a decoder accepts (64 MP). Each is checked only once the
+file is long enough to hold its pixels, and before any pixel array is built."""
+
+
+def _too_large(width: int, height: int) -> str:
+    return f"image of {width}x{height} pixels exceeds the limit of {MAX_PIXELS} pixels"
+
+
 # PGM whitespace is the six ASCII bytes bytes.split() splits on; a '#'
 # comment runs to the end of its line and counts as whitespace
 _WS = b" \t\r\n\x0b\x0c"
@@ -91,6 +100,8 @@ def load_pgm(data: bytes) -> GrayImage:
                 f"truncated pixel payload: expected {need} bytes, found {available}",
                 offset=len(data),
             )
+        if need > MAX_PIXELS:
+            raise PgmError(_too_large(width, height), offset=wstart)
         # bytes(data) is data itself for bytes input, so this view is not a copy
         pixels = np.frombuffer(bytes(data), dtype=np.uint8, count=need, offset=pos)
         if maxval < 255:
@@ -104,6 +115,8 @@ def load_pgm(data: bytes) -> GrayImage:
 
     if need > (len(data) - pos) // 2:  # each value takes a separator and a digit
         raise PgmError(f"truncated pixel payload: header asks for {need} values", offset=len(data))
+    if need > MAX_PIXELS:
+        raise PgmError(_too_large(width, height), offset=wstart)
     return GrayImage.adopt(width, height, _p2_values(data, pos, need, maxval))
 
 
@@ -190,6 +203,8 @@ def load_bmp(data: bytes) -> GrayImage:
     need = stride * height
     if len(data) < pixel_offset + need:
         raise BmpError("truncated pixel data")
+    if width * height > MAX_PIXELS:
+        raise BmpError(_too_large(width, height))
     raster = np.frombuffer(data, np.uint8, count=need, offset=pixel_offset).reshape(height, stride)
     if bottom_up:
         raster = raster[::-1]

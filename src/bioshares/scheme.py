@@ -6,7 +6,8 @@ X = (S, C_1, ..., C_{n-1}) they are one recurrence, N_1 = X_1, N_2 = X_2,
 N_i = X_i ^ N_{i-2}, since N_i = X_i ^ T_{i-1} ^ N_{i-1} and
 T_{i-1} ^ N_{i-1} = N_{i-2}. Share i is a per-pixel bit transform of N_i, so
 shares 1 and 2 depend on S and C_1 alone. Authentication inverts the
-transform, then X_i = N_i ^ N_{i-2}: bit-exact given all n shares.
+transform, then X_i = N_i ^ N_{i-2}, and returns the pair (S, (C_1, ...,
+C_{n-1})) that enrollment took: bit-exact given all n shares.
 
 Cover strategies:
     m1  secret is the original; covers are externally supplied gray images
@@ -113,14 +114,6 @@ class ShareSet:
         return self.shares[0].dims
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
-    """Secret and covers recovered from a complete share set."""
-
-    secret: GrayImage
-    covers: tuple[GrayImage, ...]
-
-
 def resize_nearest(img: GrayImage, width: int, height: int) -> GrayImage:
     """Nearest-neighbor resample: source index = floor(dst * src / dst_size)."""
     if (width, height) == img.dims:
@@ -185,28 +178,29 @@ def enroll(secret: GrayImage, covers: Sequence[GrayImage], params: SchemeParams)
     return ShareSet(shares, params)
 
 
-def authenticate(share_set: ShareSet) -> ReconstructionResult:
+def authenticate(share_set: ShareSet) -> tuple[GrayImage, tuple[GrayImage, ...]]:
     """Invert the enrollment chain, x[i] = noisy[i] ^ noisy[i-2] for i >= 2, in
-    place from the top down; requires the complete set of n shares."""
+    place from the top down; requires the complete set of n shares.
+    authenticate(enroll(secret, covers, p)) == (secret, tuple(covers))."""
     inverse = share_set.params.bit_transform.inverse()
     x = [bit_transform(s, inverse) for s in share_set.shares]
     for i in range(len(x) - 1, 1, -1):
         x[i] = xor_images(x[i], x[i - 2])
-    return ReconstructionResult(x[0], tuple(x[1:]))
+    return x[0], tuple(x[1:])
 
 
-def reveal_original(result: ReconstructionResult, params: SchemeParams) -> GrayImage:
-    """Recover the original biometric from a reconstruction.
+def reveal_original(secret: GrayImage, params: SchemeParams) -> GrayImage:
+    """Recover the original biometric from a reconstructed secret.
 
-    Identity for m1/m2. For m3 the stored secret is itself a permuted image,
-    so this needs the first enrollment seed; without it the reconstruction
-    stays distorted, which is the whole point of the method.
+    Identity for m1/m2. For m3 the secret is itself a permuted image, so
+    this needs the first enrollment seed; without it the secret stays
+    distorted, which is the whole point of the method.
     """
     if params.method is not Method.M3:
-        return result.secret
+        return secret
     if not params.seeds:
         raise ValueError("method m3 needs the secret permutation seed to undo the distortion")
-    return inverse_permute_image(result.secret, params.seeds[0])
+    return inverse_permute_image(secret, params.seeds[0])
 
 
 def generate_shares(
@@ -215,5 +209,4 @@ def generate_shares(
     covers: Sequence[GrayImage] | None = None,
 ) -> ShareSet:
     """Full enrollment pipeline: derive covers for the method, then chain."""
-    secret, cover_imgs = make_covers(original, params, covers)
-    return enroll(secret, cover_imgs, params)
+    return enroll(*make_covers(original, params, covers), params)

@@ -2,11 +2,13 @@
 implementations that the package's whole-array code must reproduce bit for
 bit (the sequential Fisher-Yates shuffle, the keyed-randomness kernels as
 they were before they ran in place, the float64 formulas of the measures,
-the token-at-a-time PGM reader), a reader for JSON metric reports and a
-small BMP writer kept independent of the package's own decoder."""
+the token-at-a-time PGM reader), a reader for JSON metric reports, a
+small BMP writer kept independent of the package's own decoder, and a
+tracemalloc wrapper for memory budgets."""
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
@@ -22,6 +24,17 @@ from bioshares import (
     transform_lut,
 )
 from bioshares.metrics import SSIM_C1, SSIM_C2
+
+
+def traced(fn, *args):
+    """fn(*args) and the peak of the memory tracemalloc saw it allocate, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 TRANSFORMS = [BitTransform("reverse8")] + [BitTransform("rotate", k) for k in range(1, 8)]
 """Every bit transform a scheme can use."""

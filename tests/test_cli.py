@@ -5,10 +5,12 @@ import pytest
 
 from bioshares import (
     GrayImage,
+    load_image_file,
     load_manifest,
     load_pgm,
     permute_image,
     pixel_digest,
+    save_pgm,
     textured_image,
     write_pgm_file,
 )
@@ -16,7 +18,7 @@ from bioshares import codecs as codecs_module
 from bioshares import manifest as manifest_module
 from bioshares.cli import main
 
-from helpers import random_image, report_from_dict
+from helpers import build_bmp_8bit, build_bmp_24bit, random_image, report_from_dict, traced
 
 
 @pytest.fixture
@@ -35,6 +37,19 @@ def run(argv):
 BAD_SEED_TEXTS = [" 12 ", "1_2", "+7", "\u0663", "-1", "", "0x10", "18446744073709551616"]
 BAD_SEED_IDS = ["spaces", "underscore", "plus", "arabic-indic-digit", "negative", "empty",
                 "hex", "above-u64"]
+
+# every decoder, each writing a gray image its decoder reads back unchanged
+ENCODERS = [
+    save_pgm,
+    lambda img: b"P2\n%d %d\n255\n" % img.dims + b" ".join(b"%d" % v for v in img.data),
+    lambda img: build_bmp_8bit(img.rows()),
+    lambda img: build_bmp_24bit(np.repeat(img.rows()[..., None], 3, axis=2)),
+]
+ENCODER_IDS = ["p5", "p2", "bmp8", "bmp24"]
+
+PEAK_BYTES_PER_PIXEL = {"enroll": 45, "authenticate": 49, "evaluate": 34}
+"""Budgets for the tracemalloc peak of one m3 n=4 command on a 512x512
+texture, about 15% above the 38.8, 42.2 and 29.2 bytes per pixel measured."""
 
 
 class TestEnroll:
@@ -236,6 +251,20 @@ class TestEnroll:
         err = capsys.readouterr().err
         assert ("format error: malformed header: width has more than 20 digits"
                 " (byte offset 3)") in err
+
+    @pytest.mark.parametrize("encode", ENCODERS, ids=ENCODER_IDS)
+    def test_pixel_ceiling_is_format_error(self, tmp_path, monkeypatch, capsys, encode):
+        img = textured_image(3, 6, 4)
+        path = tmp_path / "face.img"
+        path.write_bytes(encode(img))
+        monkeypatch.setattr(codecs_module, "MAX_PIXELS", img.pixel_count - 1)
+        assert run(["enroll", path, "--out", tmp_path / "out", "--seed", "1"]) == 5
+        assert "image of 6x4 pixels exceeds the limit of 23 pixels" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # an image of exactly MAX_PIXELS decodes
+        monkeypatch.setattr(codecs_module, "MAX_PIXELS", img.pixel_count)
+        assert load_image_file(path) == img
+        assert run(["enroll", path, "--out", tmp_path / "out", "--seed", "1"]) == 0
 
     def test_out_of_memory_is_io_error(self, tmp_path, original, monkeypatch, capsys):
         # an honest image too large for the memory at hand
@@ -630,3 +659,21 @@ class TestBatch:
         assert run(["batch", root, "--dataset-kind", "orl-pgm", "--seed", "2",
                     "--report", report]) == 0
         assert json.loads(report.read_text())["images"] == 4
+
+
+def test_m3_commands_stay_within_memory_budgets(tmp_path):
+    img = textured_image(3, 512, 512)
+    path = tmp_path / "alice.pgm"
+    write_pgm_file(img, path)
+    manifest = tmp_path / "store" / "alice_manifest.json"
+    commands = {
+        "enroll": ["enroll", path, "--out", tmp_path / "store", "--method", "m3", "--seed", "7"],
+        "authenticate": ["authenticate", manifest, "--out", tmp_path / "rec"],
+        "evaluate": ["evaluate", path, manifest],
+    }
+    for name, argv in commands.items():
+        code, peak = traced(run, argv)
+        assert code == 0, name
+        assert peak < PEAK_BYTES_PER_PIXEL[name] * img.pixel_count, (name, peak)
+    # the reveal ran, and it is the original
+    assert load_image_file(tmp_path / "rec" / "alice_revealed_original.pgm") == img

@@ -128,6 +128,6 @@ def test_generate_shares(transform, method, expected):
     digest = hashlib.sha256(b"".join(s.data.tobytes() for s in share_set.shares)).hexdigest()
     assert digest == expected
     if method is Method.M3:
-        result = authenticate(share_set)
-        assert pixel_digest(result.secret) == M3_SECRET_DIGEST
-        assert pixel_digest(reveal_original(result, params)) == ORIGINAL_DIGEST
+        secret, _ = authenticate(share_set)
+        assert pixel_digest(secret) == M3_SECRET_DIGEST
+        assert pixel_digest(reveal_original(secret, params)) == ORIGINAL_DIGEST

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from bioshares import (
     GrayImage,
     Method,
-    ReconstructionResult,
     SchemeParams,
     ShareSet,
     authenticate,
@@ -192,9 +191,9 @@ class TestEnrollChain:
 class TestAuthenticate:
     def test_inverse_of_hand_trace(self):
         shares = (GrayImage(1, 1, [85]), GrayImage(1, 1, [51]))
-        result = authenticate(ShareSet(shares, SchemeParams(Method.M1, n=2)))
-        assert int(result.secret.data[0]) == 170
-        assert int(result.covers[0].data[0]) == 204
+        secret, covers = authenticate(ShareSet(shares, SchemeParams(Method.M1, n=2)))
+        assert int(secret.data[0]) == 170
+        assert int(covers[0].data[0]) == 204
 
     @given(st.integers(2, 6), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
@@ -203,9 +202,7 @@ class TestAuthenticate:
         secret = random_image(rng, 6, 5)
         covers = [random_image(rng, 6, 5) for _ in range(n - 1)]
         share_set = enroll(secret, covers, SchemeParams(Method.M1, n=n))
-        result = authenticate(share_set)
-        assert result.secret == secret
-        assert list(result.covers) == covers
+        assert authenticate(share_set) == (secret, tuple(covers))
 
     @pytest.mark.parametrize("transform", TRANSFORMS, ids=TRANSFORM_IDS)
     @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
@@ -214,10 +211,8 @@ class TestAuthenticate:
         seeds = seed_sequence(5, seed_count(method, 4))
         params = SchemeParams(method, n=4, bit_transform=transform, seeds=seeds)
         secret, covers = make_covers(original, params)
-        result = authenticate(enroll(secret, covers, params))
-        assert result.secret == secret
-        assert list(result.covers) == covers
-        assert reveal_original(result, params) == original
+        assert authenticate(enroll(secret, covers, params)) == (secret, tuple(covers))
+        assert reveal_original(secret, params) == original
 
     def test_subset_of_shares_refused(self):
         rng = np.random.default_rng(6)
@@ -319,12 +314,10 @@ class TestFullPipeline:
         seeds = tuple(seed_sequence(97, seed_count(method, n)))
         params = SchemeParams(method, n=n, seeds=seeds)
         secret, covers = make_covers(original, params)
-        result = authenticate(enroll(secret, covers, params))
-        assert result.secret == secret
-        assert list(result.covers) == covers
-        revealed = reveal_original(result, params)
+        assert authenticate(enroll(secret, covers, params)) == (secret, tuple(covers))
+        revealed = reveal_original(secret, params)
         if method is Method.M1 or method is Method.M2:
-            assert revealed == result.secret == original
+            assert revealed == secret == original
         else:
             assert revealed == original
 
@@ -334,18 +327,18 @@ class TestFullPipeline:
         for k in range(100):
             original = random_image(rng, 64, 64)
             params = SchemeParams(Method.M3, n=2, seeds=(2 * k, 1_000_001))
-            result = authenticate(generate_shares(original, params))
+            secret, _ = authenticate(generate_shares(original, params))
             wrong = SchemeParams(Method.M3, n=2, seeds=(2 * k + 1, 1_000_001))
-            revealed = reveal_original(result, wrong)
+            revealed = reveal_original(secret, wrong)
             rates.append(npcr(original, revealed))
         assert np.mean(rates) >= 95.0
 
     def test_reveal_m3_needs_seeds(self):
-        result = ReconstructionResult(GrayImage.filled(4, 4, 1), ())
+        secret = GrayImage.filled(4, 4, 1)
         bare = SchemeParams(Method.M3, n=2, seeds=(1, 2))
         object.__setattr__(bare, "seeds", ())  # simulate a seedless context
         with pytest.raises(ValueError, match="permutation seed"):
-            reveal_original(result, bare)
+            reveal_original(secret, bare)
 
     def test_revocability_distinct_seed_sets(self):
         rng = np.random.default_rng(43)
