@@ -22,6 +22,14 @@ from .scheme import Method, SchemeParams, ShareSet
 MANIFEST_SCHEMA = 1
 DIGEST_ALGORITHM = "sha256"
 
+MAX_MANIFEST_BYTES = 4 * 1024 * 1024
+"""The longest manifest read, so an untrusted file cannot make a read grow
+without bound. The longest `enroll` writes is about 1.7 MB: JSON escaping
+takes at most 6 bytes per byte, n <= 64 (cli.MAX_SHARES), and its m1 cover
+paths open as files, so each is under 4096 bytes; 63 escaped cover sources
+are then under 1.55 MB, and 64 share names of at most 255 bytes, 64 digests,
+64 seeds, the user id and the fixed fields add about 0.11 MB."""
+
 
 class IntegrityError(ValueError):
     """A share file is missing, undecodable, or fails its digest."""
@@ -147,7 +155,15 @@ def save_manifest(manifest: EnrollmentManifest, path: str | Path) -> None:
 
 
 def load_manifest(path: str | Path) -> EnrollmentManifest:
-    return EnrollmentManifest.from_json(Path(path).read_text(encoding="utf-8"))
+    # in blocks, since read(k) sets aside all k bytes before it reads any
+    chunks, size = [], 0
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 16):
+            size += len(chunk)
+            if size > MAX_MANIFEST_BYTES:
+                raise ValueError(f"manifest exceeds the limit of {MAX_MANIFEST_BYTES} bytes")
+            chunks.append(chunk)
+    return EnrollmentManifest.from_json(b"".join(chunks).decode("utf-8"))
 
 
 def save_enrollment(share_set: ShareSet, user_id: str, out_dir: str | Path) -> Path:

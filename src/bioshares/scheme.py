@@ -10,8 +10,8 @@ transform, then X_i = N_i ^ N_{i-2}, and returns the pair (S, (C_1, ...,
 C_{n-1})) that enrollment took: bit-exact given all n shares.
 
 Cover strategies:
-    m1  secret is the original; covers are externally supplied gray images
-        (resized to match) or deterministic seed-keyed noise textures
+    m1  secret is the original; covers are the gray images cover_sources
+        names, one each (resized to match), or seed-keyed noise textures
     m2  secret is the original; covers are keyed permutations of it
     m3  secret and covers are all keyed permutations of the original
 """
@@ -39,9 +39,6 @@ def seed_count(method: Method, n: int) -> int:
     """Seeds a method consumes: one per generated cover, plus one for the
     secret under m3. m1 uses this many only when covers are generated."""
     return n if method is Method.M3 else n - 1
-
-
-_M1_COVERS_OR_SEEDS = "method m1 takes supplied covers or texture seeds, not both"
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,7 @@ class SchemeParams:
         if self.method is Method.M1:
             # m1 takes no seeds when covers are supplied, n-1 when generated
             if self.seeds and self.cover_sources:
-                raise ValueError(_M1_COVERS_OR_SEEDS)
+                raise ValueError("method m1 takes supplied covers or texture seeds, not both")
             if self.cover_sources and len(self.cover_sources) != required:
                 raise ValueError(
                     f"method m1 takes 0 or {required} cover sources, got {len(self.cover_sources)}"
@@ -132,28 +129,24 @@ def noise_cover(width: int, height: int, seed: int) -> GrayImage:
 def make_covers(
     original: GrayImage,
     params: SchemeParams,
-    supplied: Sequence[GrayImage] | None = None,
+    supplied: Sequence[GrayImage] = (),
 ) -> tuple[GrayImage, list[GrayImage]]:
-    """Derive the (secret, covers) pair a method feeds into enrollment."""
+    """Derive the (secret, covers) pair a method feeds into enrollment. `supplied`
+    holds one image per `params.cover_sources` name; SchemeParams judged the names."""
     if original.pixel_count < 2:
         raise ValueError("original image must have at least 2 pixels")
+    if len(supplied) != len(params.cover_sources):
+        raise ValueError(
+            f"{len(supplied)} covers supplied for {len(params.cover_sources)} cover sources"
+        )
     if params.method is Method.M1:
-        covers = list(supplied or ())
-        if covers and params.seeds:
-            raise ValueError(_M1_COVERS_OR_SEEDS)
-        if covers:
-            if len(covers) != params.n - 1:
-                raise ValueError(
-                    f"method m1 needs exactly {params.n - 1} covers, got {len(covers)}"
-                )
-            covers = [resize_nearest(c, original.width, original.height) for c in covers]
+        if supplied:
+            covers = [resize_nearest(c, original.width, original.height) for c in supplied]
         elif params.seeds:
             covers = [noise_cover(original.width, original.height, s) for s in params.seeds]
         else:
             raise ValueError("method m1 needs supplied cover images or texture seeds")
         return original, covers
-    if supplied:
-        raise ValueError("supplied covers apply to method m1 only")
     keyed = [permute_image(original, s) for s in params.seeds]
     # m3: the first seed keys the secret itself
     return (original, keyed) if params.method is Method.M2 else (keyed[0], keyed[1:])
@@ -206,7 +199,8 @@ def reveal_original(secret: GrayImage, params: SchemeParams) -> GrayImage:
 def generate_shares(
     original: GrayImage,
     params: SchemeParams,
-    covers: Sequence[GrayImage] | None = None,
+    covers: Sequence[GrayImage] = (),
 ) -> ShareSet:
-    """Full enrollment pipeline: derive covers for the method, then chain."""
+    """Full enrollment pipeline: derive covers for the method, then chain.
+    `covers` are the images `params.cover_sources` names, one each."""
     return enroll(*make_covers(original, params, covers), params)

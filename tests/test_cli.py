@@ -47,9 +47,17 @@ ENCODERS = [
 ]
 ENCODER_IDS = ["p5", "p2", "bmp8", "bmp24"]
 
-PEAK_BYTES_PER_PIXEL = {"enroll": 45, "authenticate": 49, "evaluate": 34}
-"""Budgets for the tracemalloc peak of one m3 n=4 command on a 512x512
-texture, about 15% above the 38.8, 42.2 and 29.2 bytes per pixel measured."""
+PEAK_BYTES_PER_PIXEL = {
+    "m3": {"enroll": 45, "authenticate": 49, "evaluate": 34},
+    "m2": {"enroll": 43, "authenticate": 12, "evaluate": 34},
+    "m1-seed": {"enroll": 22, "authenticate": 12, "evaluate": 34},
+    "m1-cover": {"enroll": 13, "authenticate": 12, "evaluate": 34},
+}
+"""Budgets for the tracemalloc peak of one n=4 command on a 512x512 texture,
+about 15% above the bytes per pixel measured for enroll / authenticate /
+evaluate: m3 38.8 / 42.2 / 29.2, m2 37.2 / 10.1 / 29.2, m1 with --seed
+19.2 / 10.1 / 29.2, and m1 with three 512x512 --cover textures
+11.2 / 10.1 / 29.2."""
 
 
 class TestEnroll:
@@ -168,6 +176,21 @@ class TestEnroll:
         write_pgm_file(GrayImage.filled(4, 4, 1), cover)
         assert run(["enroll", path, "--out", tmp_path / "out", "--method", "m1",
                     "--cover", cover, "--cover", cover]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("second, code, message", [
+        (None, 3, "i/o error: [Errno 2] "),
+        (b"P5\n4 4\n255\n\x01\x02", 5, "format error: truncated pixel payload"),
+    ], ids=["missing", "truncated-p5"])
+    def test_m1_cover_file_error_writes_nothing(self, tmp_path, original, capsys,
+                                                second, code, message):
+        _, path = original
+        write_pgm_file(GrayImage.filled(4, 4, 1), tmp_path / "c1.pgm")
+        if second is not None:
+            (tmp_path / "c2.pgm").write_bytes(second)
+        assert run(["enroll", path, "--out", tmp_path / "out", "--method", "m1", "--shares", "3",
+                    "--cover", tmp_path / "c1.pgm", "--cover", tmp_path / "c2.pgm"]) == code
+        assert capsys.readouterr().err.startswith(message)
         assert not (tmp_path / "out").exists()
 
     def test_one_pixel_image_is_format_error(self, tmp_path, capsys):
@@ -407,6 +430,19 @@ class TestAuthenticate:
         assert run(argv) == 5
         assert capsys.readouterr().err == "error: manifest JSON is nested too deeply\n"
         assert not (tmp_path / "rec").exists()
+
+    def test_manifest_over_the_size_limit_is_format_error(self, tmp_path, enrolled, monkeypatch,
+                                                          capsys):
+        _, manifest_path, _ = enrolled
+        size = manifest_path.stat().st_size
+        monkeypatch.setattr(manifest_module, "MAX_MANIFEST_BYTES", size - 1)
+        assert run(["authenticate", manifest_path, "--out", tmp_path / "rec"]) == 5
+        assert capsys.readouterr().err == (
+            f"error: manifest exceeds the limit of {size - 1} bytes\n")
+        assert not (tmp_path / "rec").exists()
+        # a manifest of exactly MAX_MANIFEST_BYTES is read
+        monkeypatch.setattr(manifest_module, "MAX_MANIFEST_BYTES", size)
+        assert run(["authenticate", manifest_path, "--out", tmp_path / "rec"]) == 0
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -661,19 +697,40 @@ class TestBatch:
         assert json.loads(report.read_text())["images"] == 4
 
 
-def test_m3_commands_stay_within_memory_budgets(tmp_path):
+def _commands_stay_within_memory_budgets(tmp_path, variant):
+    """Enroll, authenticate and evaluate one 512x512 texture under `variant`,
+    each within its PEAK_BYTES_PER_PIXEL budget; returns the original."""
     img = textured_image(3, 512, 512)
     path = tmp_path / "alice.pgm"
     write_pgm_file(img, path)
+    method = variant.split("-")[0]
+    source = ["--seed", "7"]
+    if variant == "m1-cover":
+        source = []
+        for k in range(3):
+            write_pgm_file(textured_image(10 + k, 512, 512), tmp_path / f"cover{k}.pgm")
+            source += ["--cover", tmp_path / f"cover{k}.pgm"]
     manifest = tmp_path / "store" / "alice_manifest.json"
     commands = {
-        "enroll": ["enroll", path, "--out", tmp_path / "store", "--method", "m3", "--seed", "7"],
+        "enroll": ["enroll", path, "--out", tmp_path / "store", "--method", method, *source],
         "authenticate": ["authenticate", manifest, "--out", tmp_path / "rec"],
         "evaluate": ["evaluate", path, manifest],
     }
+    budgets = PEAK_BYTES_PER_PIXEL[variant]
     for name, argv in commands.items():
         code, peak = traced(run, argv)
         assert code == 0, name
-        assert peak < PEAK_BYTES_PER_PIXEL[name] * img.pixel_count, (name, peak)
+        assert peak < budgets[name] * img.pixel_count, (name, peak)
+    return img
+
+
+def test_m3_commands_stay_within_memory_budgets(tmp_path):
+    img = _commands_stay_within_memory_budgets(tmp_path, "m3")
     # the reveal ran, and it is the original
     assert load_image_file(tmp_path / "rec" / "alice_revealed_original.pgm") == img
+
+
+@pytest.mark.parametrize("variant", ["m2", "m1-seed", "m1-cover"])
+def test_m1_m2_commands_stay_within_memory_budgets(tmp_path, variant):
+    img = _commands_stay_within_memory_budgets(tmp_path, variant)
+    assert load_image_file(tmp_path / "rec" / "alice_reconstructed_secret.pgm") == img

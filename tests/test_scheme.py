@@ -248,7 +248,7 @@ class TestMakeCovers:
     def test_m1_resizes_supplied_covers(self):
         original = GrayImage.filled(112, 94, 5)
         covers = [GrayImage.filled(50, 50, v) for v in (1, 2, 3)]
-        params = SchemeParams(Method.M1, n=4)
+        params = SchemeParams(Method.M1, n=4, cover_sources=("a.pgm", "b.pgm", "c.pgm"))
         secret, resized = make_covers(original, params, covers)
         assert secret == original
         assert all(c.dims == (112, 94) for c in resized)
@@ -264,25 +264,20 @@ class TestMakeCovers:
         with pytest.raises(ValueError, match="cover images or texture seeds"):
             make_covers(GrayImage.filled(4, 4, 0), SchemeParams(Method.M1, n=2))
 
-    def test_m1_wrong_cover_count(self):
-        with pytest.raises(ValueError, match="exactly 3 covers"):
-            make_covers(GrayImage.filled(4, 4, 0), SchemeParams(Method.M1, n=4),
-                        [GrayImage.filled(4, 4, 1)])
-
-    def test_m1_supplied_covers_rejected_with_seeds(self):
-        # the covers would be used and the seeds recorded, so the params would
-        # no longer regenerate the shares
+    @pytest.mark.parametrize("params", [
+        SchemeParams(Method.M1, n=4),
+        SchemeParams(Method.M1, n=4, seeds=(1, 2, 3)),
+        SchemeParams(Method.M2, n=4, seeds=(1, 2, 3)),
+    ], ids=["m1-no-sources", "m1-seeds", "m2"])
+    def test_supplied_covers_must_match_cover_sources(self, params):
+        # SchemeParams judges which covers a method takes; a cover it does not
+        # name would be enrolled but never recorded in the manifest
         original = GrayImage.filled(4, 4, 0)
-        params = SchemeParams(Method.M1, n=4, seeds=(1, 2, 3))
-        with pytest.raises(ValueError, match="supplied covers or texture seeds, not both"):
-            make_covers(original, params, [GrayImage.filled(4, 4, v) for v in (1, 2, 3)])
-        with pytest.raises(ValueError, match="not both"):
-            generate_shares(original, params, [GrayImage.filled(4, 4, v) for v in (1, 2, 3)])
-
-    def test_supplied_covers_rejected_outside_m1(self):
-        params = SchemeParams(Method.M2, n=2, seeds=(1,))
-        with pytest.raises(ValueError, match="m1 only"):
-            make_covers(GrayImage.filled(4, 4, 0), params, [GrayImage.filled(4, 4, 1)])
+        covers = [GrayImage.filled(4, 4, v) for v in (1, 2, 3)]
+        with pytest.raises(ValueError, match="3 covers supplied for 0 cover sources"):
+            make_covers(original, params, covers)
+        with pytest.raises(ValueError, match="3 covers supplied for 0 cover sources"):
+            generate_shares(original, params, covers)
 
     def test_degenerate_original_rejected(self):
         with pytest.raises(ValueError, match="at least 2 pixels"):
