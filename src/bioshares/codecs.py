@@ -1,8 +1,8 @@
 """Image codecs: PGM (P2 ASCII and P5 binary, maxval <= 255) and uncompressed
 BMP (8-bit palette or 24-bit BGR). The PGM writer always emits binary P5 with
-maxval 255, so save/load round-trips are bit-exact. A P2 body is parsed as
-whole arrays, each value from the last three digits of its token; only a body
-that fails is read again one token at a time, to report where."""
+maxval 255, so save/load round-trips are bit-exact. A P2 body is read by
+numpy's text parser once comments are blanked and the body is cut at its first
+stray byte; an error's offset is found from the parsed values."""
 
 from __future__ import annotations
 
@@ -121,43 +121,31 @@ def load_pgm(data: bytes) -> GrayImage:
 
 
 def _p2_values(data: bytes, pos: int, need: int, maxval: int) -> np.ndarray:
-    """The first `need` P2 values after byte `pos`, parsed as whole arrays.
-    Comments are blanked to spaces, so offsets hold; values end at the first
-    byte that is neither a digit nor whitespace. Each value is read from its
-    token's last three digits, weighted 1, 10 and 100 in uint16; a nonzero
-    digit before those puts a token above every maxval. A body that fails is
-    read again one token at a time, which meets a value above maxval before
-    a short count and reports it at its own offset."""
-    body = b"  " + memoryview(data)[pos:]  # every token's last digit has two bytes before it
+    """The first `need` P2 values after byte `pos`, read by numpy's text
+    parser. Comments are blanked to spaces, so offsets hold, and the body
+    ends at the first byte that is neither a digit nor whitespace. On what is
+    left numpy reads exactly the tokens bytes.split() gives, and a token past
+    int64 reads as 2**63 - 1, above every maxval. The first value above
+    maxval is reported at its token's offset before a short count is."""
+    body = bytes(data[pos:])  # numpy parses only a bytes object
     if b"#" in body:
         body = _COMMENT.sub(lambda m: b" " * len(m[0]), body)
-    cut = _STRAY.search(body).start() if body.translate(None, _TEXT) else len(body)
-    text = np.frombuffer(body, np.uint8, count=cut)
-    digit = np.zeros(cut + 1, bool)  # the byte at `cut` ends the last token
-    np.greater_equal(text, ord("0"), out=digit[:-1])  # only digits and whitespace are left
-    digits = text - ord("0")
-    digits *= digit[:-1]
-    last = digit[2:-1] > digit[3:]  # last[i]: byte i + 2 ends a token
-    # the hundreds place counts only when the tens place is a digit too
-    values = np.multiply(digits[:-2], digit[1:-2], dtype=np.uint16)
-    values *= 10
-    values += digits[1:-1]
-    values *= 10
-    values += digits[2:]
-    values = values[last][:need]
-    # a nonzero digit with three more digits after it in its token
-    lead = (digits[:-3] > 0) & digit[1:-3] & digit[2:-2] & digit[3:-1]
-    if (len(values) < need or values.max() > maxval
-            or (lead.any() and np.count_nonzero(last[: lead.argmax() - 2]) < need)):
-        found = 0
-        for match in _DIGITS.finditer(body, 0, cut):
-            value = _decimal(match[0])
-            if value > maxval:
-                shown = value if value < _TOO_LONG else f"of more than {_MAX_DIGITS} digits"
-                raise PgmError(f"pixel value {shown} exceeds maxval {maxval}",
-                               offset=pos - 2 + match.start())
-            found += 1
-        raise PgmError(f"truncated pixel payload: expected {need} values, found {found}",
+    if body.translate(None, _TEXT):
+        body = body[: _STRAY.search(body).start()]
+    # numpy reads a body of whitespace alone as one 0
+    values = np.fromstring(b"" if body.isspace() else body, np.int64, sep=" ")[:need]
+    if len(values) and values.max() > maxval:
+        nth = int((values > maxval).argmax())
+        del values  # free it for the token masks
+        text = np.frombuffer(body, np.uint8)
+        digit = np.zeros(len(text) + 1, bool)
+        np.greater_equal(text, ord("0"), out=digit[1:])  # only digits and whitespace are left
+        start = int(np.flatnonzero(digit[1:] > digit[:-1])[nth])
+        value = _decimal(_DIGITS.match(body, start)[0])
+        shown = value if value < _TOO_LONG else f"of more than {_MAX_DIGITS} digits"
+        raise PgmError(f"pixel value {shown} exceeds maxval {maxval}", offset=pos + start)
+    if len(values) < need:
+        raise PgmError(f"truncated pixel payload: expected {need} values, found {len(values)}",
                        offset=len(data))
     return values.astype(np.uint8)
 

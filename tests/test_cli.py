@@ -382,6 +382,36 @@ class TestAuthenticate:
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert run(["authenticate", tmp_path / "absent.json"]) == 3
 
+    def test_share_dir_reads_shares_away_from_the_manifest(self, tmp_path, original, enrolled):
+        _, path = original
+        _, manifest_path, store = enrolled
+        moved = tmp_path / "elsewhere" / manifest_path.name
+        moved.parent.mkdir()
+        moved.write_bytes(manifest_path.read_bytes())
+        assert run(["authenticate", manifest_path, "--out", tmp_path / "a"]) == 0
+        assert run(["authenticate", moved, "--share-dir", store, "--out", tmp_path / "b"]) == 0
+        written = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in written:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        report = tmp_path / "report.json"
+        assert run(["evaluate", path, manifest_path, "--report", report]) == 0
+        plain = report.read_bytes()
+        assert run(["evaluate", path, moved, "--share-dir", store, "--report", report]) == 0
+        # the report names the manifest it was given; everything else is the same
+        assert report.read_bytes() == plain.replace(
+            json.dumps(str(manifest_path)).encode(), json.dumps(str(moved)).encode())
+
+    @pytest.mark.parametrize("command", ["authenticate", "evaluate"])
+    def test_empty_share_dir_is_integrity_error(self, tmp_path, original, enrolled, command):
+        _, path = original
+        _, manifest_path, _ = enrolled
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        args = [path] if command == "evaluate" else []
+        assert run([command, *args, manifest_path, "--share-dir", empty]) == 4
+        assert list(empty.iterdir()) == []
+
     def test_share_value_past_int_digit_limit_is_integrity_error(self, tmp_path, enrolled, capsys):
         _, manifest_path, store = enrolled
         share = load_pgm((store / "alice_share_1.pgm").read_bytes())

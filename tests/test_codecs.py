@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +17,9 @@ from bioshares import (
 
 from helpers import build_bmp_8bit, build_bmp_24bit, gray_images, load_pgm_token_loop, traced
 
-P2_BYTES_PER_INPUT_BYTE = 10
-"""Budget for the traced peak of a P2 decode, per byte of the file."""
+P2_BYTES_PER_INPUT_BYTE = 5
+"""Budget for the traced peak of a P2 decode or short-count rejection, per
+byte of the file; a 320x240 file measures 3.5 and 3.3."""
 
 
 class TestPgmReader:
@@ -56,13 +55,22 @@ class TestPgmReader:
         # a parse that makes one Python object per value peaks near 15 bytes
         # per input byte, so the budget catches a return to one
         _, data = iitd_sized_p2()
-        tracemalloc.start()
-        try:
-            load_pgm(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < P2_BYTES_PER_INPUT_BYTE * len(data)
+        short = data.rstrip().rsplit(b" ", 1)[0]  # the last value removed
+
+        def reject_short():
+            with pytest.raises(PgmError, match="expected 76800 values, found 76799"):
+                load_pgm(short)
+
+        for decode in (lambda: load_pgm(data), reject_short):
+            assert traced(decode)[1] < P2_BYTES_PER_INPUT_BYTE * len(data)
+
+    def test_numpy_text_parser_contract(self):
+        # _p2_values relies on numpy reading a body of digits and PGM
+        # whitespace as bytes.split() and int() would, saturating past int64
+        parsed = np.fromstring(b"9" * 5000 + b"\x0b1\x0c2 3", np.int64, sep=" ")
+        assert parsed.tolist() == [2**63 - 1, 1, 2, 3], (
+            "numpy's text parser no longer saturates long tokens or splits on "
+            "\\x0b/\\x0c; codecs._p2_values depends on both")
 
     def test_comments_tolerated(self):
         img = load_pgm(b"P2 # comment\n# another full line\n2 1 # maxval next\n255\n3 4")
@@ -246,6 +254,10 @@ class TestAgainstTokenLoop:
         b"P2 1 1 255 \t\r\n\x0b\x0c ",  # a body of whitespace only
         b"P2 6 1 255\n1 2\t3\r4\n5\x0b6\x0c",  # every whitespace byte separates
         b"P2 2 1 255 12#note 7\n34",  # a comment between two values
+        # int64 boundaries, where a parser that wraps would differ from one that saturates
+        *(b"P2 2 1 255 %d 1" % v for v in (2**63 - 1, 2**63, 2**64 - 1, 2**64,
+                                           10**19 - 1, 10**19)),
+        *(b"P2 2 1 255 1 %d" % v for v in (2**63 - 1, 2**63)),
     ])
     def test_edge_cases(self, data):
         assert decode_outcome(load_pgm, data) == decode_outcome(load_pgm_token_loop, data)

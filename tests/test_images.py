@@ -132,11 +132,12 @@ class TestGrayImage:
         textured_image(1, 5, 3)
         assert GrayImage.filled(2, 1, 3) == GrayImage(2, 1, [3, 3])
         assert load_image(b"P2 2 2 255 5 6 7 8") == img
+        assert load_image(bytearray(b"P2 2 2 255 5 6 7 8")) == img
         assert load_image(save_pgm(img)) == img
         assert load_image(bytearray(save_pgm(img))) == img
         assert load_image(build_bmp_8bit(img.rows())) == img
         assert load_image(build_bmp_24bit(np.stack([img.rows()] * 3, axis=-1))) == img
-        assert kept == [True] * 13
+        assert kept == [True] * 14
 
     @pytest.mark.parametrize("width, height", [(2.0, 3), (2, 3.0), (True, 6), (2, np.int64(3)),
                                                ("2", 3)])
