@@ -60,7 +60,7 @@ class CorpusReport:
             "dataset": self.dataset,
             "method": self.method.value,
             "n": self.n,
-            "bit_transform": self.bit_transform.descriptor(),
+            "bit_transform": self.bit_transform.descriptor,
             "master_seed": str(self.master_seed),
             "images": self.images,
             "pairs": self.pairs,

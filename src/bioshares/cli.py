@@ -64,7 +64,7 @@ def _seed_list(text: str) -> tuple[int, ...]:
 
 def _bit_transform(text: str) -> BitTransform:
     try:
-        return BitTransform.parse(text)
+        return BitTransform(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -212,9 +212,19 @@ def _format_table(report: MetricsReport) -> str:
     return "\n".join(lines)
 
 
+def _refuse_report_over(report: Path | None, inputs: list[Path]) -> None:
+    """Refuse a --report path that names one of the command's inputs."""
+    if report is not None and report.resolve() in {p.resolve() for p in inputs}:
+        raise UsageError(f"the JSON report would overwrite the input {report}; "
+                         "give --report another path")
+
+
 def cmd_evaluate(args) -> int:
+    _refuse_report_over(args.report, [args.original, args.manifest])
     original = load_image_file(args.original)
     manifest, share_set = _load_enrollment(args)
+    share_dir = args.share_dir or args.manifest.parent
+    _refuse_report_over(args.report, [share_dir / name for name in manifest.share_files])
     reports = [report_all(original, share) for share in share_set.shares]
     averaged = mean_reports(reports)
 

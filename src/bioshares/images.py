@@ -1,10 +1,10 @@
 """Grayscale raster type and the pixel-level Boolean operations the share
-pipeline is built from: element-wise XOR and reversible 8-bit transforms
-(bit-order reversal, circular rotation)."""
+pipeline is built from: element-wise XOR and the eight reversible 8-bit
+transforms (bit-order reversal and the seven circular rotations), each a
+256-byte translate table keyed by its descriptor."""
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,73 +102,49 @@ def xor_images(a: GrayImage, b: GrayImage) -> GrayImage:
     return GrayImage.adopt(a.width, a.height, np.bitwise_xor(a.data, b.data))
 
 
+# descriptor -> bytes.translate table of each transform, the only definition
+# of the eight: reverse8 reverses a byte's bit order, rotate:K rotates it
+# circularly left by K bits
+_TABLES = {"reverse8": bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))} | {
+    f"rotate:{k}": bytes(((v << k) | (v >> (8 - k))) & 0xFF for v in range(256)) for k in range(1, 8)
+}
+
+
 @dataclass(frozen=True)
 class BitTransform:
-    """Reversible per-pixel 8-bit transform applied to the noisy shares.
-
-    `reverse8` reverses bit order. `rotate` rotates each byte circularly
-    left by `k` bits. Enrollment applies the transform and authentication
-    its `inverse()`.
+    """Reversible per-pixel 8-bit transform applied to the noisy shares,
+    named by the descriptor the CLI and the manifest use for it: `reverse8`
+    or `rotate:K` with K one ASCII digit 1..7. Enrollment applies the
+    transform and authentication its `inverse()`.
     """
 
-    kind: str = "reverse8"
-    k: int = 0
+    descriptor: str = "reverse8"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or isinstance(self.k, bool):
-            raise ValueError(f"rotation amount must be an integer, got {self.k!r}")
-        if self.kind == "reverse8":
-            if self.k != 0:
-                raise ValueError("reverse8 takes no rotation amount")
-        elif self.kind == "rotate":
-            if not 1 <= self.k <= 7:
-                raise ValueError(f"rotation amount must be in 1..7, got {self.k}")
-        else:
-            raise ValueError(f"unknown bit transform {self.kind!r}")
-
-    @classmethod
-    def parse(cls, text: str) -> "BitTransform":
-        """Parse a CLI/manifest descriptor: 'reverse8' or 'rotate:K', K one
-        ASCII digit 1..7, so every accepted text is its own descriptor()."""
-        if text == "reverse8":
-            return cls("reverse8")
-        if re.fullmatch(r"rotate:[1-7]", text):
-            return cls("rotate", int(text[-1]))
-        raise ValueError(f"bad bit transform descriptor {text!r}")
-
-    def descriptor(self) -> str:
-        return "reverse8" if self.kind == "reverse8" else f"rotate:{self.k}"
+        if not (isinstance(self.descriptor, str) and self.descriptor in _TABLES):
+            raise ValueError(f"bad bit transform descriptor {self.descriptor!r}")
 
     def inverse(self) -> "BitTransform":
         """The transform that undoes this one: reverse8 is an involution, and
-        rotating left by k is undone by rotating left by 8 - k."""
-        return self if self.kind == "reverse8" else BitTransform("rotate", 8 - self.k)
+        rotating left by K is undone by rotating left by 8 - K."""
+        if self.descriptor == "reverse8":
+            return self
+        return BitTransform(f"rotate:{8 - int(self.descriptor[-1])}")
 
 
 REVERSE8 = BitTransform()
 
-_REVERSE_LUT = np.array([int(f"{v:08b}"[::-1], 2) for v in range(256)], dtype=np.uint8)
-_REVERSE_LUT.setflags(write=False)
-
-
-# row k rotates each byte left by k bits
-_ROTATE_LUTS = np.array(
-    [[((v << k) | (v >> (8 - k))) & 0xFF for v in range(256)] for k in range(8)], dtype=np.uint8
-)
-_ROTATE_LUTS.setflags(write=False)
-
 
 def transform_lut(transform: BitTransform) -> np.ndarray:
-    """256-entry lookup table realising the transform."""
-    return _REVERSE_LUT if transform.kind == "reverse8" else _ROTATE_LUTS[transform.k]
+    """Read-only 256-entry lookup table realising the transform."""
+    return np.frombuffer(_TABLES[transform.descriptor], dtype=np.uint8)
 
 
 def bit_transform(img: GrayImage, transform: BitTransform = REVERSE8) -> GrayImage:
     """Apply the per-pixel transform to every pixel of the image.
 
-    The lookup table is applied as a `bytes.translate` table, one byte per
+    The transform's table is applied by `bytes.translate`, one byte per
     byte, so no pixel is widened to an index.
     """
-    table = transform_lut(transform).tobytes()
-    pixels = img.data.tobytes().translate(table)
+    pixels = img.data.tobytes().translate(_TABLES[transform.descriptor])
     return GrayImage.adopt(img.width, img.height, np.frombuffer(pixels, dtype=np.uint8))

@@ -70,7 +70,7 @@ class EnrollmentManifest:
             "user_id": self.user_id,
             "method": self.params.method.value,
             "n": self.params.n,
-            "bit_transform": self.params.bit_transform.descriptor(),
+            "bit_transform": self.params.bit_transform.descriptor,
             "seeds": [str(s) for s in self.params.seeds],
             "dims": list(self.dims),
             "share_files": list(self.share_files),
@@ -107,7 +107,7 @@ class EnrollmentManifest:
             params=SchemeParams(
                 method=field("method", Method),
                 n=field("n", _integer),
-                bit_transform=field("bit_transform", lambda v: BitTransform.parse(_text(v))),
+                bit_transform=field("bit_transform", lambda v: BitTransform(_text(v))),
                 seeds=field("seeds", lambda v: _array(v, lambda s: parse_seed(_text(s)))),
                 cover_sources=field("cover_sources", lambda v: _array(v, _text)),
             ),

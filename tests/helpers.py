@@ -1,7 +1,8 @@
 """Shared test helpers: hypothesis strategies for images, reference
 implementations that the package's whole-array code must reproduce bit for
 bit (the sequential Fisher-Yates shuffle, the keyed-randomness kernels as
-they were before they ran in place, the float64 formulas of the measures,
+they were before they ran in place, each bit transform built bit by bit
+from its descriptor, the float64 formulas of the measures,
 the token-at-a-time PGM reader), a reader for JSON metric reports, a
 small BMP writer kept independent of the package's own decoder, and a
 tracemalloc wrapper for memory budgets."""
@@ -21,7 +22,6 @@ from bioshares import (
     PgmError,
     require_same_dims,
     splitmix64,
-    transform_lut,
 )
 from bioshares.metrics import SSIM_C1, SSIM_C2
 
@@ -36,9 +36,9 @@ def traced(fn, *args):
         tracemalloc.stop()
 
 
-TRANSFORMS = [BitTransform("reverse8")] + [BitTransform("rotate", k) for k in range(1, 8)]
+TRANSFORMS = [BitTransform("reverse8")] + [BitTransform(f"rotate:{k}") for k in range(1, 8)]
 """Every bit transform a scheme can use."""
-TRANSFORM_IDS = [t.descriptor() for t in TRANSFORMS]
+TRANSFORM_IDS = [t.descriptor for t in TRANSFORMS]
 
 
 @st.composite
@@ -102,9 +102,18 @@ def random_bytes_reference(seed, count):
 
 
 def bit_transform_reference(img, transform):
-    """The transform as a numpy fancy-index lookup."""
-    lut = transform_lut(transform)
-    return GrayImage(img.width, img.height, lut[img.data])
+    """The transform built bit by bit from its descriptor alone, not from
+    its table: reverse8 moves bit i to bit 7 - i, and rotate:K moves bit i
+    to bit (i + K) mod 8."""
+    if transform.descriptor == "reverse8":
+        targets = [7 - i for i in range(8)]
+    else:
+        k = int(transform.descriptor.removeprefix("rotate:"))
+        targets = [(i + k) % 8 for i in range(8)]
+    out = np.zeros(img.pixel_count, dtype=np.uint8)
+    for i, target in enumerate(targets):
+        out |= ((img.data >> i) & 1) << target
+    return GrayImage(img.width, img.height, out)
 
 
 def derive_permutation_reference(key):

@@ -594,6 +594,22 @@ class TestEvaluate:
         per_share = [report_from_dict(d) for d in doc["per_share"]]
         assert averaged.npcr == pytest.approx(sum(r.npcr for r in per_share) / 4)
 
+    @pytest.mark.parametrize("target", ["original", "manifest", "share"])
+    def test_report_over_an_input_is_usage_error(self, tmp_path, original, capsys, target):
+        _, path = original
+        store = tmp_path / "store"
+        assert run(["enroll", path, "--out", store, "--method", "m3", "--seed", "5"]) == 0
+        manifest = store / "alice_manifest.json"
+        named = {"original": path, "manifest": manifest, "share": store / "alice_share_2.pgm"}
+        report = named[target].parent / ".." / named[target].parent.name / named[target].name
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert run(["evaluate", path, manifest, "--report", report]) == 2
+        out, err = capsys.readouterr()
+        assert f"error: the JSON report would overwrite the input {report}" in err
+        assert out == ""
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
     def test_dimension_mismatch_is_format_error(self, tmp_path, original):
         img, path = original
         store = tmp_path / "store"

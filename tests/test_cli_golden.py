@@ -223,7 +223,7 @@ def test_batch_outputs(workdir):
 @pytest.mark.parametrize("drop_cover_sources", [False, True], ids=["as-written", "no-cover-key"])
 def test_frozen_manifest_loads_and_authenticates(workdir, drop_cover_sources):
     doc = json.loads(FROZEN_M3_MANIFEST)
-    params = SchemeParams(Method.M3, 4, BitTransform("rotate", 3),
+    params = SchemeParams(Method.M3, 4, BitTransform("rotate:3"),
                           tuple(int(s) for s in doc["seeds"]))
     store = workdir / "store"
     store.mkdir()

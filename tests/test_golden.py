@@ -121,7 +121,7 @@ def test_generate_shares(transform, method, expected):
     params = SchemeParams(
         method,
         n=4,
-        bit_transform=BitTransform.parse(transform),
+        bit_transform=BitTransform(transform),
         seeds=seed_sequence(2024, 4 if method is Method.M3 else 3),
     )
     share_set = generate_shares(original, params)

@@ -26,7 +26,7 @@ from bioshares.prng import seed_sequence
 
 from helpers import random_image
 
-TRANSFORMS = [BitTransform.parse("reverse8"), BitTransform.parse("rotate:3")]
+TRANSFORMS = [BitTransform("reverse8"), BitTransform("rotate:3")]
 
 
 def _enrollment(method, n, transform):
@@ -47,7 +47,7 @@ def _unmasked(share: GrayImage, transform: BitTransform) -> GrayImage:
 
 
 CASES = [
-    pytest.param(method, n, transform, id=f"{method.value}-n{n}-{transform.descriptor()}")
+    pytest.param(method, n, transform, id=f"{method.value}-n{n}-{transform.descriptor}")
     for method in Method
     for n in range(2, 7)
     for transform in TRANSFORMS

@@ -30,7 +30,7 @@ from helpers import random_image, traced
 def build_manifest(**overrides):
     fields = dict(
         user_id="alice",
-        params=SchemeParams(Method.M3, n=2, bit_transform=BitTransform("rotate", 2), seeds=(5, 6)),
+        params=SchemeParams(Method.M3, n=2, bit_transform=BitTransform("rotate:2"), seeds=(5, 6)),
         dims=(4, 4),
         share_files=("alice_share_1.pgm", "alice_share_2.pgm"),
         content_digests=("a" * 64, "b" * 64),
