@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bioshares import MetricsReport, Method, run_batch
 from bioshares.cli import IDEAL_ROW, MAX_SHARES, require_share_count
-from bioshares.datasets import DATASET_KINDS
+from bioshares.datasets import DATASET_KINDS, corpus_paths
 from bioshares.images import REVERSE8
 from bioshares.metrics import format_measure
 from bioshares.prng import parse_seed
@@ -42,10 +42,11 @@ def main() -> int:
 
     print(_row("method", MetricsReport.FIELDS))
     print(_row("ideal", (IDEAL_ROW[name] for name in MetricsReport.FIELDS)))
+    paths = corpus_paths(args.corpus, args.dataset_kind)
     for method in Method:
         _, report = run_batch(
             root=args.corpus,
-            kind=args.dataset_kind,
+            paths=paths,
             method=method,
             n=args.shares,
             master_seed=seed,

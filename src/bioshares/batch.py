@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .codecs import BmpError, PgmError, load_image_file
-from .datasets import EmptyCorpusError, corpus_paths
+from .datasets import EmptyCorpusError
 from .images import BitTransform
 from .metrics import MetricsReport, format_measure, mean_reports, report_all
 from .prng import mix_seed, seed_sequence
@@ -79,18 +79,15 @@ def image_seeds(master_seed: int, index: int, method: Method, n: int) -> tuple[i
 
 def run_batch(
     root: str | Path,
-    kind: str,
+    paths: Sequence[Path],
     method: Method,
     n: int,
     master_seed: int,
     transform: BitTransform,
 ) -> tuple[list[BatchRow], CorpusReport]:
-    """Enroll and evaluate every image under `root`; see module docstring."""
+    """Enroll and evaluate every image of a corpus; `paths` are the images
+    `corpus_paths` found under `root`, in its order. See module docstring."""
     root = Path(root)
-    paths = corpus_paths(root, kind)
-    if not paths:
-        raise EmptyCorpusError(f"no {kind} images found under {root}")
-
     rows: list[BatchRow] = []
     per_pair: list[MetricsReport] = []
     skipped = 0

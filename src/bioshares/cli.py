@@ -11,15 +11,24 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import secrets
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .batch import run_batch, write_batch_csv
 from .codecs import BmpError, PgmError, load_image_file, write_pgm_file
-from .datasets import DATASET_KINDS, EmptyCorpusError
+from .datasets import DATASET_KINDS, EmptyCorpusError, corpus_paths
 from .images import BitTransform, DimensionMismatchError
-from .manifest import IntegrityError, load_manifest, load_share_set, save_enrollment
+from .manifest import (
+    IntegrityError,
+    load_manifest,
+    load_share_set,
+    manifest_name,
+    save_enrollment,
+    share_names,
+)
 from .metrics import MetricsReport, format_measure, mean_reports, report_all
 from .prng import parse_seed, seed_sequence
 from .scheme import (
@@ -133,10 +142,34 @@ def require_share_count(n: int) -> None:
         raise UsageError(f"--shares must be between 2 and {MAX_SHARES}, got {n}")
 
 
+def _refuse_overwrite(writes: list[tuple[str, Path | None]], reads: Iterable[Path]) -> None:
+    """Refuse, before anything is written, a command that would write over a
+    file it reads, or write two of its outputs to one file. `writes` pairs a
+    label with each output path (None: not written). Paths are compared
+    resolved, so `a/../a/x` and a symbolic link to `x` both name `x`;
+    `os.path.realpath`, unlike `Path.resolve`, leaves a link loop in place,
+    so that the command's own open reports it as an I/O error."""
+    writes = [(label, path) for label, path in writes if path is not None]
+    if not writes:
+        return
+    inputs = {os.path.realpath(p) for p in reads}
+    earlier: dict[str, str] = {}
+    for label, path in writes:
+        key = os.path.realpath(path)
+        if key in inputs:
+            raise UsageError(f"the {label} would overwrite the input {path}")
+        if key in earlier:
+            raise UsageError(f"the {label} would overwrite the {earlier[key]}")
+        earlier[key] = f"{label} {path}"
+
+
 def cmd_enroll(args) -> int:
     require_share_count(args.shares)
     method = Method(args.method)
     user = args.user or args.input.stem
+    names = [*share_names(user, args.shares), manifest_name(user)]
+    _refuse_overwrite([("enrollment", args.out / name) for name in names],
+                      [args.input, *args.cover])
     original = load_image_file(args.input)
 
     seeds = args.seeds
@@ -167,10 +200,12 @@ def cmd_enroll(args) -> int:
     return EXIT_OK
 
 
-def _load_enrollment(args):
-    """The manifest named on the command line and its digest-checked shares."""
+def _open_store(args):
+    """The manifest named on the command line, its share directory, and the
+    store files the command reads: the manifest and every share."""
     manifest = load_manifest(args.manifest)
-    return manifest, load_share_set(manifest, args.share_dir or args.manifest.parent)
+    share_dir = args.share_dir or args.manifest.parent
+    return manifest, share_dir, [args.manifest, *(share_dir / n for n in manifest.share_files)]
 
 
 def _write_report(path: Path | None, doc: dict) -> None:
@@ -180,9 +215,15 @@ def _write_report(path: Path | None, doc: dict) -> None:
 
 
 def cmd_authenticate(args) -> int:
-    manifest, share_set = _load_enrollment(args)
-    out_dir = args.out or args.share_dir or args.manifest.parent
-    params = manifest.params
+    manifest, share_dir, reads = _open_store(args)
+    out_dir = args.out or share_dir
+    user, params = manifest.user_id, manifest.params
+    outputs = [out_dir / f"{user}_reconstructed_secret.pgm"]
+    outputs += [out_dir / f"{user}_reconstructed_cover_{i}.pgm" for i in range(1, params.n)]
+    if params.method is Method.M3:
+        outputs.append(out_dir / f"{user}_revealed_original.pgm")
+    _refuse_overwrite([("reconstruction", path) for path in outputs], reads)
+    share_set = load_share_set(manifest, share_dir)
     if args.seeds is not None:
         try:
             params = dataclasses.replace(params, seeds=args.seeds)
@@ -191,16 +232,13 @@ def cmd_authenticate(args) -> int:
     secret, covers = authenticate(share_set)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    user = manifest.user_id
-    write_pgm_file(secret, out_dir / f"{user}_reconstructed_secret.pgm")
-    for i, cover in enumerate(covers, start=1):
-        write_pgm_file(cover, out_dir / f"{user}_reconstructed_cover_{i}.pgm")
+    for path, img in zip(outputs, (secret, *covers)):
+        write_pgm_file(img, path)
     print(f"digests verified; reconstructed secret and {len(covers)} covers -> {out_dir}")
 
     if params.method is Method.M3:
-        revealed = reveal_original(secret, params)
-        write_pgm_file(revealed, out_dir / f"{user}_revealed_original.pgm")
-        print(f"revealed original -> {out_dir / (user + '_revealed_original.pgm')}")
+        write_pgm_file(reveal_original(secret, params), outputs[-1])
+        print(f"revealed original -> {outputs[-1]}")
     return EXIT_OK
 
 
@@ -212,19 +250,11 @@ def _format_table(report: MetricsReport) -> str:
     return "\n".join(lines)
 
 
-def _refuse_report_over(report: Path | None, inputs: list[Path]) -> None:
-    """Refuse a --report path that names one of the command's inputs."""
-    if report is not None and report.resolve() in {p.resolve() for p in inputs}:
-        raise UsageError(f"the JSON report would overwrite the input {report}; "
-                         "give --report another path")
-
-
 def cmd_evaluate(args) -> int:
-    _refuse_report_over(args.report, [args.original, args.manifest])
+    manifest, share_dir, reads = _open_store(args)
+    _refuse_overwrite([("JSON report", args.report)], [args.original, *reads])
     original = load_image_file(args.original)
-    manifest, share_set = _load_enrollment(args)
-    share_dir = args.share_dir or args.manifest.parent
-    _refuse_report_over(args.report, [share_dir / name for name in manifest.share_files])
+    share_set = load_share_set(manifest, share_dir)
     reports = [report_all(original, share) for share in share_set.shares]
     averaged = mean_reports(reports)
 
@@ -249,12 +279,11 @@ def cmd_batch(args) -> int:
     csv_path = args.csv
     if csv_path is None and args.report is not None:
         csv_path = args.report.with_suffix(".csv")
-    if args.report is not None and csv_path.resolve() == args.report.resolve():
-        raise UsageError(f"the per-image CSV would overwrite the JSON report {args.report}; "
-                         "give --csv another path")
+    paths = corpus_paths(args.root, args.dataset_kind)
+    _refuse_overwrite([("JSON report", args.report), ("per-image CSV", csv_path)], paths)
     rows, report = run_batch(
         root=args.root,
-        kind=args.dataset_kind,
+        paths=paths,
         method=Method(args.method),
         n=args.shares,
         master_seed=args.seed,

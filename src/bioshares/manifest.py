@@ -3,8 +3,8 @@ files, scheme parameters and pixel digests, the one writer that lays an
 enrollment out on disk, and the digest-checked reader of the share set.
 
 Store layout under one directory: `<user>_share_<i>.pgm` for i = 1..n and
-`<user>_manifest.json`. Every name in a manifest is a plain file name, so a
-manifest can only refer to files inside its own share directory.
+`<user>_manifest.json`, both named from a user id that must be a plain file
+name, so a manifest can only refer to files inside its own share directory.
 """
 
 from __future__ import annotations
@@ -31,6 +31,15 @@ are then under 1.55 MB, and 64 share names of at most 255 bytes, 64 digests,
 64 seeds, the user id and the fixed fields add about 0.11 MB."""
 
 
+def share_names(user_id: str, n: int) -> tuple[str, ...]:
+    """The store's names for an enrollment's n shares, in share order."""
+    return tuple(f"{user_id}_share_{i}.pgm" for i in range(1, n + 1))
+
+
+def manifest_name(user_id: str) -> str:
+    return f"{user_id}_manifest.json"
+
+
 class IntegrityError(ValueError):
     """A share file is missing, undecodable, or fails its digest."""
 
@@ -45,24 +54,23 @@ class EnrollmentManifest:
     user_id: str
     params: SchemeParams
     dims: tuple[int, int]
-    share_files: tuple[str, ...]
     content_digests: tuple[str, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", tuple(self.dims))
-        object.__setattr__(self, "share_files", tuple(self.share_files))
         object.__setattr__(self, "content_digests", tuple(self.content_digests))
-        _require_plain_name("user_id", self.user_id)
-        for name in self.share_files:
-            _require_plain_name("share_files", name)
+        # one file-name component, so no store name can leave its directory
+        if self.user_id in ("", ".", "..") or any(sep in self.user_id for sep in "/\\\0"):
+            raise ValueError(f"user_id must be a plain file name, got {self.user_id!r}")
         if len(self.dims) != 2 or min(self.dims) < 1:
             raise ValueError(f"dims must be two positive sizes, got {list(self.dims)}")
-        n = self.params.n
-        if len(self.share_files) != n or len(self.content_digests) != n:
-            raise ValueError(
-                f"manifest lists {len(self.share_files)} share files and "
-                f"{len(self.content_digests)} digests for n={n}"
-            )
+        if len(self.content_digests) != self.params.n:
+            raise ValueError(f"manifest lists {len(self.content_digests)} digests "
+                             f"for n={self.params.n}")
+
+    @property
+    def share_files(self) -> tuple[str, ...]:
+        return share_names(self.user_id, self.params.n)
 
     def to_json(self) -> str:
         doc = {
@@ -102,7 +110,7 @@ class EnrollmentManifest:
             except (TypeError, ValueError, LookupError, OverflowError) as exc:
                 raise ValueError(f"manifest field {name!r} is invalid: {exc}") from None
 
-        return cls(
+        manifest = cls(
             user_id=field("user_id"),
             params=SchemeParams(
                 method=field("method", Method),
@@ -112,9 +120,12 @@ class EnrollmentManifest:
                 cover_sources=field("cover_sources", lambda v: _array(v, _text)),
             ),
             dims=field("dims", lambda v: _pair(_array(v, _integer))),
-            share_files=field("share_files", lambda v: _array(v, _text)),
             content_digests=field("content_digests", lambda v: _array(v, _text)),
         )
+        names = list(manifest.share_files)
+        if doc.get("share_files") != names:  # stored only as a copy of the derived names
+            raise ValueError(f"manifest field 'share_files' must list {names[0]} .. {names[-1]}")
+        return manifest
 
 
 def _text(value: object) -> str:
@@ -143,13 +154,6 @@ def _pair(values: tuple) -> tuple:
     return values
 
 
-def _require_plain_name(field: str, name: str) -> None:
-    """A store name must be one file-name component, so it cannot leave the
-    directory it is joined to."""
-    if name in ("", ".", "..") or any(sep in name for sep in "/\\\0"):
-        raise ValueError(f"{field} must be a plain file name, got {name!r}")
-
-
 def save_manifest(manifest: EnrollmentManifest, path: str | Path) -> None:
     Path(path).write_text(manifest.to_json(), encoding="utf-8")
 
@@ -168,22 +172,18 @@ def load_manifest(path: str | Path) -> EnrollmentManifest:
 
 def save_enrollment(share_set: ShareSet, user_id: str, out_dir: str | Path) -> Path:
     """Write one enrollment's shares, then its manifest; returns the manifest path.
-
-    The manifest is built, and so validated, before any file is written.
-    """
+    The manifest is built, and so validated, before any file is written."""
     out_dir = Path(out_dir)
-    n = share_set.params.n
     manifest = EnrollmentManifest(
         user_id=user_id,
         params=share_set.params,
         dims=share_set.dims,
-        share_files=tuple(f"{user_id}_share_{i}.pgm" for i in range(1, n + 1)),
         content_digests=tuple(pixel_digest(share) for share in share_set.shares),
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, share in zip(manifest.share_files, share_set.shares):
         write_pgm_file(share, out_dir / name)
-    manifest_path = out_dir / f"{user_id}_manifest.json"
+    manifest_path = out_dir / manifest_name(user_id)
     save_manifest(manifest, manifest_path)
     return manifest_path
 
@@ -194,10 +194,9 @@ def load_share_set(manifest: EnrollmentManifest, share_dir: str | Path) -> Share
     Raises IntegrityError on the first missing, undecodable, wrongly sized
     or digest-mismatching share, before anything is reconstructed.
     """
-    share_dir = Path(share_dir)
     shares = []
     for rel, digest in zip(manifest.share_files, manifest.content_digests):
-        path = share_dir / rel
+        path = Path(share_dir, rel)
         if not path.is_file():
             raise IntegrityError(f"missing share file: {rel}")
         try:
@@ -205,9 +204,8 @@ def load_share_set(manifest: EnrollmentManifest, share_dir: str | Path) -> Share
         except PgmError as exc:
             raise IntegrityError(f"share file {rel} is not a valid share: {exc}") from exc
         if img.dims != manifest.dims:
-            raise IntegrityError(
-                f"share file {rel} has dimensions {img.dims}, manifest says {manifest.dims}"
-            )
+            raise IntegrityError(f"share file {rel} has dimensions {img.dims}, "
+                                 f"manifest says {manifest.dims}")
         if pixel_digest(img) != digest:
             raise IntegrityError(f"digest mismatch for share file {rel}")
         shares.append(img)

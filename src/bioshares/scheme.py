@@ -186,13 +186,12 @@ def reveal_original(secret: GrayImage, params: SchemeParams) -> GrayImage:
     """Recover the original biometric from a reconstructed secret.
 
     Identity for m1/m2. For m3 the secret is itself a permuted image, so
-    this needs the first enrollment seed; without it the secret stays
-    distorted, which is the whole point of the method.
+    this takes the first enrollment seed, which SchemeParams always holds
+    under m3; without the seeds the secret stays distorted, which is the
+    whole point of the method.
     """
     if params.method is not Method.M3:
         return secret
-    if not params.seeds:
-        raise ValueError("method m3 needs the secret permutation seed to undo the distortion")
     return inverse_permute_image(secret, params.seeds[0])
 
 

@@ -27,6 +27,7 @@ from bioshares import (
     Method,
     SchemeParams,
     authenticate,
+    corpus_paths,
     correlation,
     enroll,
     make_covers,
@@ -230,8 +231,8 @@ def test_optional_orl_reproduction():
     with criterion("optional face-corpus reproduction: m3 n=4 within published tolerances, < 5 min"):
         started = time.monotonic()
         _, report = run_batch(
-            root=_orl_root(), kind="orl-pgm", method=Method.M3, n=4,
-            master_seed=1, transform=REVERSE8,
+            root=_orl_root(), paths=corpus_paths(_orl_root(), "orl-pgm"), method=Method.M3,
+            n=4, master_seed=1, transform=REVERSE8,
         )
         elapsed = time.monotonic() - started
         assert report.metrics.cr is not None

@@ -1,7 +1,13 @@
 import json
+import os
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bioshares import (
     GrayImage,
@@ -31,6 +37,11 @@ def original(tmp_path):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def file_bytes(root):
+    """Every file under `root` with its bytes, to show a refused command changed nothing."""
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 # seed strings Python's int() accepts but a u64 written as decimal digits is not
@@ -220,6 +231,54 @@ class TestEnroll:
                     "--seed", "1"]) == 2
         assert "--shares must be between 2 and 64" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_covers_over_the_shares_are_usage_error(self, tmp_path, original, capsys):
+        # re-enrolling with the store's own shares as covers would replace them
+        _, path = original
+        store = tmp_path / "store"
+        assert run(["enroll", path, "--out", store, "--method", "m3", "--seed", "1"]) == 0
+        argv = ["enroll", path, "--out", store, "--user", "alice", "--method", "m1"]
+        for i in (2, 3, 4):
+            argv += ["--cover", store / f"alice_share_{i}.pgm"]
+        before = file_bytes(tmp_path)
+        capsys.readouterr()
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: the enrollment would overwrite the input {store}/alice_share_2.pgm\n"
+        assert out == ""
+        assert file_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("name", ["alice_share_1.pgm", "alice_manifest.json"])
+    def test_input_over_the_enrollment_is_usage_error(self, tmp_path, original, capsys,
+                                                      monkeypatch, name):
+        img, _ = original
+        store = tmp_path / "store"
+        store.mkdir()
+        write_pgm_file(img, store / name)
+        before = file_bytes(tmp_path)
+        read = []
+        monkeypatch.setattr("bioshares.cli.load_image_file", read.append)
+        # the same file through another spelling of the store
+        assert run(["enroll", store / name, "--out", store / ".." / "store",
+                    "--user", "alice", "--seed", "1"]) == 2
+        assert "error: the enrollment would overwrite the input" in capsys.readouterr().err
+        assert read == []
+        assert file_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("slot", ["input", "cover", "out"])
+    def test_link_loop_is_io_error(self, tmp_path, original, capsys, slot):
+        # comparing resolved paths must not turn the open's ELOOP into a traceback
+        _, path = original
+        (tmp_path / "a").symlink_to(tmp_path / "b")
+        (tmp_path / "b").symlink_to(tmp_path / "a")
+        loop = tmp_path / "a"
+        argv = {"input": ["enroll", loop, "--out", tmp_path / "out", "--seed", "1"],
+                "cover": ["enroll", path, "--out", tmp_path / "out", "--method", "m1",
+                          "--shares", "2", "--cover", loop],
+                "out": ["enroll", path, "--out", loop, "--seed", "1"]}[slot]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: [Errno ") and "Traceback" not in err
 
     def test_user_outside_out_is_usage_error(self, tmp_path, original, capsys):
         _, path = original
@@ -535,8 +594,50 @@ class TestAuthenticate:
         doc["share_files"][0] = "../outside.pgm"
         manifest_path.write_text(json.dumps(doc))
         assert run(["authenticate", manifest_path, "--out", tmp_path / "rec"]) == 5
-        assert "share_files must be a plain file name" in capsys.readouterr().err
+        assert ("'share_files' must list alice_share_1.pgm .. alice_share_4.pgm"
+                in capsys.readouterr().err)
         assert not (tmp_path / "rec").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda names: [n.replace("alice", "bob") for n in names],
+        lambda names: names[::-1],
+        lambda names: names[:-1],
+        lambda names: ["alice_reconstructed_secret.pgm", *names[1:]],
+    ], ids=["renamed", "reordered", "shortened", "an-output"])
+    def test_share_list_other_than_the_derived_one_is_format_error(
+            self, tmp_path, enrolled, capsys, edit):
+        # a stored name the store would not give could point at any file,
+        # even one authenticate is about to write
+        _, manifest_path, store = enrolled
+        doc = json.loads(manifest_path.read_text())
+        for i, name in enumerate(edit(doc["share_files"])):
+            if not (store / name).exists():
+                (store / name).write_bytes((store / f"alice_share_{i + 1}.pgm").read_bytes())
+        doc["share_files"] = edit(doc["share_files"])
+        manifest_path.write_text(json.dumps(doc))
+        before = file_bytes(tmp_path)
+        assert run(["authenticate", manifest_path]) == 5
+        assert "manifest field 'share_files' must list" in capsys.readouterr().err
+        assert file_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("name", ["alice_reconstructed_secret.pgm",
+                                      "alice_reconstructed_cover_2.pgm",
+                                      "alice_revealed_original.pgm"])
+    def test_output_over_the_manifest_is_usage_error(self, tmp_path, enrolled, capsys,
+                                                     monkeypatch, name):
+        # the user names the manifest, so only the resolved paths can tell
+        _, manifest_path, store = enrolled
+        moved = manifest_path.rename(store / name)
+        before = file_bytes(tmp_path)
+        read = []
+        monkeypatch.setattr("bioshares.manifest.load_pgm", read.append)
+        capsys.readouterr()
+        assert run(["authenticate", moved, "--out", store / ".." / "store"]) == 2
+        out, err = capsys.readouterr()
+        assert err == ("error: the reconstruction would overwrite the input "
+                       f"{store}/../store/{name}\n")
+        assert (out, read) == ("", [])
+        assert file_bytes(tmp_path) == before
 
     def test_user_id_outside_out_is_format_error(self, tmp_path, enrolled, capsys):
         _, manifest_path, _ = enrolled
@@ -609,6 +710,17 @@ class TestEvaluate:
         assert f"error: the JSON report would overwrite the input {report}" in err
         assert out == ""
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_report_link_loop_is_io_error(self, tmp_path, original, capsys):
+        _, path = original
+        store = tmp_path / "store"
+        assert run(["enroll", path, "--out", store, "--method", "m3", "--seed", "5"]) == 0
+        (tmp_path / "a").symlink_to(tmp_path / "b")
+        (tmp_path / "b").symlink_to(tmp_path / "a")
+        assert run(["evaluate", path, store / "alice_manifest.json",
+                    "--report", tmp_path / "a"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: [Errno ") and "Traceback" not in err
 
     def test_dimension_mismatch_is_format_error(self, tmp_path, original):
         img, path = original
@@ -726,6 +838,22 @@ class TestBatch:
         assert (out, read) == ("", [])
         assert not (tmp_path / report).exists()
 
+    @pytest.mark.parametrize("flags", [["--report", "corpus/img_00.pgm"],
+                                       ["--report", "out/r.json", "--csv", "corpus/img_03.pgm"],
+                                       ["--report", "corpus/../corpus/img_05.pgm"]],
+                             ids=["report", "csv", "report-resolved"])
+    def test_output_over_a_corpus_image_is_usage_error(self, tmp_path, corpus, capsys,
+                                                       monkeypatch, flags):
+        read = []
+        monkeypatch.setattr("bioshares.batch.load_image_file", read.append)
+        monkeypatch.chdir(tmp_path)
+        before = file_bytes(tmp_path)
+        assert run(["batch", corpus, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert f"would overwrite the input {flags[-1]}\n" in err
+        assert (out, read) == ("", [])
+        assert file_bytes(tmp_path) == before
+
     def test_empty_corpus_is_io_error(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -741,6 +869,88 @@ class TestBatch:
         assert run(["batch", root, "--dataset-kind", "orl-pgm", "--seed", "2",
                     "--report", report]) == 0
         assert json.loads(report.read_text())["images"] == 4
+
+
+class TestNoCommandWritesOverItsInputs:
+    """Each path a command writes is drawn from the command's own inputs and
+    from fresh names, spelled directly or through a `dir/../dir` detour. The
+    command exits 2 exactly when an output resolves to an input or to another
+    output, else 0, and every input byte is unchanged either way."""
+
+    @pytest.fixture(scope="class")
+    def template(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("template")
+        write_pgm_file(textured_image(3, 12, 10), root / "alice.pgm")
+        for k in range(3):
+            write_pgm_file(textured_image(10 + k, 12, 10), root / f"c{k}.pgm")
+        (root / "corpus").mkdir()
+        for i in range(3):
+            write_pgm_file(textured_image(20 + i, 8, 8), root / "corpus" / f"f{i}.pgm")
+        assert run(["enroll", root / "alice.pgm", "--out", root / "store", "--method", "m3",
+                    "--seed", "7"]) == 0
+        return root
+
+    @staticmethod
+    def command(command, root, draw):
+        """(argv, paths read, paths written) for one drawn command under `root`."""
+        shares = [f"store/alice_share_{i}.pgm" for i in range(1, 5)]
+        if command == "enroll":
+            images = ["alice.pgm", "c0.pgm", "c1.pgm", "c2.pgm", *shares]
+            reads = [draw(images) for _ in range(4)]
+            out, user = draw(["store", "out"]), draw(["alice", "bob"])
+            writes = [f"{out}/{user}_share_{i}.pgm" for i in range(1, 5)]
+            writes.append(f"{out}/{user}_manifest.json")
+            argv = ["enroll", reads[0], "--out", out, "--user", user, "--method", "m1"]
+            for cover in reads[1:]:
+                argv += ["--cover", cover]
+        elif command == "authenticate":
+            manifest = "store/" + draw(["alice_manifest.json", "alice_reconstructed_secret.pgm",
+                                        "alice_reconstructed_cover_3.pgm",
+                                        "alice_revealed_original.pgm"])
+            if not (root / manifest).exists():
+                shutil.copy(root / "store" / "alice_manifest.json", root / manifest)
+            out = draw(["store", "rec"])
+            reads = [manifest, *shares]
+            writes = [f"{out}/alice_reconstructed_{name}.pgm"
+                      for name in ("secret", "cover_1", "cover_2", "cover_3")]
+            writes.append(f"{out}/alice_revealed_original.pgm")
+            argv = ["authenticate", manifest, "--out", out]
+        elif command == "evaluate":
+            reads = ["alice.pgm", "store/alice_manifest.json", *shares]
+            writes = [draw([*reads, "report.json", "store/new.json"])]
+            argv = ["evaluate", reads[0], reads[1], "--report", writes[0]]
+        else:
+            reads = [f"corpus/f{i}.pgm" for i in range(3)]
+            report = draw(["corpus/f0.pgm", "out/r.json", "out/r.csv", "r.json"])
+            csv = draw([None, "corpus/f1.pgm", "out/r.json", "out/x.csv"])
+            argv = ["batch", "corpus", "--method", "m3", "--shares", "2", "--report", report]
+            if csv is not None:
+                argv += ["--csv", csv]
+            writes = [report, csv or str(Path(report).with_suffix(".csv"))]
+        return argv, reads, writes
+
+    @pytest.mark.parametrize("command", ["enroll", "authenticate", "evaluate", "batch"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_drawn_outputs(self, template, command, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "t"
+            shutil.copytree(template, root)
+            argv, reads, writes = self.command(
+                command, root, lambda options: data.draw(st.sampled_from(options)))
+            spelled = {}
+            for rel in dict.fromkeys([*reads, *writes]):  # in a fixed order, for replay
+                head, _, name = rel.rpartition("/")
+                detour = head and data.draw(st.booleans(), label=f"detour {rel}")
+                spelled[rel] = f"{head}/../{head}/{name}" if detour else rel
+            argv = [str(root / spelled[a]) if a in spelled else a for a in argv]
+            argv = [str(root / a) if a in ("corpus", "store", "out", "rec") else a for a in argv]
+            real = {os.path.realpath(root / rel) for rel in reads}
+            clash = any(os.path.realpath(root / w) in real for w in writes) or (
+                len({os.path.realpath(root / w) for w in writes}) < len(writes))
+            before = {rel: (root / rel).read_bytes() for rel in reads}
+            assert run(argv) == (2 if clash else 0)
+            assert {rel: (root / rel).read_bytes() for rel in reads} == before
 
 
 def _commands_stay_within_memory_budgets(tmp_path, variant):

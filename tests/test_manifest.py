@@ -32,7 +32,6 @@ def build_manifest(**overrides):
         user_id="alice",
         params=SchemeParams(Method.M3, n=2, bit_transform=BitTransform("rotate:2"), seeds=(5, 6)),
         dims=(4, 4),
-        share_files=("alice_share_1.pgm", "alice_share_2.pgm"),
         content_digests=("a" * 64, "b" * 64),
     )
     fields.update(overrides)
@@ -60,8 +59,34 @@ class TestManifest:
         assert load_manifest(path) == m
 
     def test_counts_must_match_n(self):
-        with pytest.raises(ValueError, match="share files"):
-            build_manifest(share_files=("only_one.pgm",))
+        with pytest.raises(ValueError, match="1 digests for n=2"):
+            build_manifest(content_digests=("a" * 64,))
+
+    def test_share_files_follow_user_and_n(self):
+        m = build_manifest(params=SchemeParams(Method.M2, n=3, seeds=(1, 2)),
+                           content_digests=("a" * 64,) * 3)
+        assert m.share_files == ("alice_share_1.pgm", "alice_share_2.pgm", "alice_share_3.pgm")
+        assert json.loads(m.to_json())["share_files"] == list(m.share_files)
+
+    @pytest.mark.parametrize("stored", [
+        ["bob_share_1.pgm", "bob_share_2.pgm"],
+        ["alice_share_2.pgm", "alice_share_1.pgm"],
+        ["alice_share_1.pgm"],
+        ["alice_share_1.pgm", "alice_share_2.pgm", "alice_share_3.pgm"],
+        ["alice_share_1.pgm", "../outside.pgm"],
+        ["alice_share_1.pgm", "alice_reconstructed_secret.pgm"],
+        "alice_share_1.pgm",
+        None,
+    ], ids=["renamed", "reordered", "shortened", "lengthened", "outside", "an-output",
+            "string", "missing"])
+    def test_stored_share_files_must_be_the_derived_list(self, stored):
+        doc = json.loads(build_manifest().to_json())
+        doc["share_files"] = stored
+        if stored is None:
+            del doc["share_files"]
+        with pytest.raises(ValueError, match="'share_files' must list alice_share_1.pgm .. "
+                                             "alice_share_2.pgm"):
+            EnrollmentManifest.from_json(json.dumps(doc))
 
     def test_seed_rule_applies(self):
         doc = json.loads(build_manifest().to_json())
@@ -74,12 +99,16 @@ class TestManifest:
     def test_store_names_must_be_plain(self, name):
         with pytest.raises(ValueError, match="user_id must be a plain file name"):
             build_manifest(user_id=name)
-        with pytest.raises(ValueError, match="share_files must be a plain file name"):
-            build_manifest(share_files=("alice_share_1.pgm", name))
+        doc = json.loads(build_manifest().to_json())
+        doc["share_files"][1] = name
+        with pytest.raises(ValueError, match="'share_files' must list"):
+            EnrollmentManifest.from_json(json.dumps(doc))
 
     def test_plain_names_with_dots_are_kept(self):
-        m = build_manifest(user_id="a.b", share_files=("..x.pgm", "x..pgm"))
-        assert EnrollmentManifest.from_json(m.to_json()) == m
+        for user in ("a.b", "..x", "x.."):
+            m = build_manifest(user_id=user)
+            assert m.share_files == (f"{user}_share_1.pgm", f"{user}_share_2.pgm")
+            assert EnrollmentManifest.from_json(m.to_json()) == m
 
     @pytest.mark.parametrize("dims", [(0, 5), (5, 0), (-40, -30), (4,)])
     def test_dims_must_be_two_positive_sizes(self, dims):

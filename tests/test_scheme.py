@@ -328,13 +328,6 @@ class TestFullPipeline:
             rates.append(npcr(original, revealed))
         assert np.mean(rates) >= 95.0
 
-    def test_reveal_m3_needs_seeds(self):
-        secret = GrayImage.filled(4, 4, 1)
-        bare = SchemeParams(Method.M3, n=2, seeds=(1, 2))
-        object.__setattr__(bare, "seeds", ())  # simulate a seedless context
-        with pytest.raises(ValueError, match="permutation seed"):
-            reveal_original(secret, bare)
-
     def test_revocability_distinct_seed_sets(self):
         rng = np.random.default_rng(43)
         original = random_image(rng, 32, 32)
