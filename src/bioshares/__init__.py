@@ -32,6 +32,7 @@ from .images import (
 from .manifest import (
     EnrollmentManifest,
     IntegrityError,
+    ManifestError,
     load_manifest,
     load_share_set,
     pixel_digest,
@@ -62,7 +63,9 @@ from .permutation import (
 )
 from .prng import mix_seed, random_bytes, seed_sequence, splitmix64
 from .scheme import (
+    DegenerateImageError,
     Method,
+    SchemeError,
     SchemeParams,
     ShareSet,
     authenticate,

@@ -19,10 +19,11 @@ from typing import Iterable
 
 from .batch import run_batch, write_batch_csv
 from .codecs import BmpError, PgmError, load_image_file, write_pgm_file
-from .datasets import DATASET_KINDS, EmptyCorpusError, corpus_paths
+from .datasets import DATASET_KINDS, EmptyCorpusError, corpus_paths, in_corpus
 from .images import BitTransform, DimensionMismatchError
 from .manifest import (
     IntegrityError,
+    ManifestError,
     load_manifest,
     load_share_set,
     manifest_name,
@@ -32,7 +33,9 @@ from .manifest import (
 from .metrics import MetricsReport, format_measure, mean_reports, report_all
 from .prng import parse_seed, seed_sequence
 from .scheme import (
+    DegenerateImageError,
     Method,
+    SchemeError,
     SchemeParams,
     authenticate,
     generate_shares,
@@ -142,13 +145,16 @@ def require_share_count(n: int) -> None:
         raise UsageError(f"--shares must be between 2 and {MAX_SHARES}, got {n}")
 
 
-def _refuse_overwrite(writes: list[tuple[str, Path | None]], reads: Iterable[Path]) -> None:
+def _refuse_overwrite(writes: list[tuple[str, Path | None]], reads: Iterable[Path],
+                      corpus: tuple[Path, str] | None = None) -> None:
     """Refuse, before anything is written, a command that would write over a
     file it reads, or write two of its outputs to one file. `writes` pairs a
     label with each output path (None: not written). Paths are compared
     resolved, so `a/../a/x` and a symbolic link to `x` both name `x`;
     `os.path.realpath`, unlike `Path.resolve`, leaves a link loop in place,
-    so that the command's own open reports it as an I/O error."""
+    so that the command's own open reports it as an I/O error. A `corpus`
+    (root, kind) also refuses an output that its next walk would take, at
+    the output's own entry or at the file a link there leads to."""
     writes = [(label, path) for label, path in writes if path is not None]
     if not writes:
         return
@@ -161,6 +167,10 @@ def _refuse_overwrite(writes: list[tuple[str, Path | None]], reads: Iterable[Pat
         if key in earlier:
             raise UsageError(f"the {label} would overwrite the {earlier[key]}")
         earlier[key] = f"{label} {path}"
+        lands = (Path(os.path.realpath(path.parent), path.name), Path(key))
+        if corpus and any(in_corpus(Path(os.path.realpath(corpus[0])), p, corpus[1])
+                          for p in lands):
+            raise UsageError(f"the {label} {path} would become an image of the corpus {corpus[0]}")
 
 
 def cmd_enroll(args) -> int:
@@ -178,22 +188,19 @@ def cmd_enroll(args) -> int:
     if seeds is None and (args.seed is not None or not args.cover):
         master = args.seed if args.seed is not None else secrets.randbits(64)
         seeds = seed_sequence(master, seed_count(method, args.shares))
-    try:
-        params = SchemeParams(
-            method=method,
-            n=args.shares,
-            bit_transform=args.bit_transform,
-            seeds=seeds or (),
-            cover_sources=tuple(args.cover),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    params = SchemeParams(
+        method=method,
+        n=args.shares,
+        bit_transform=args.bit_transform,
+        seeds=seeds or (),
+        cover_sources=tuple(args.cover),
+    )
     # covers are read only once the params accept them
     covers = [load_image_file(p) for p in args.cover]
     share_set = generate_shares(original, params, covers)
     try:
         manifest_path = save_enrollment(share_set, user, args.out)
-    except ValueError as exc:
+    except ManifestError as exc:  # the user id is not a plain file name
         raise UsageError(str(exc)) from exc
     print(f"enrolled {user}: {args.shares} shares ({method.value}, "
           f"{original.width}x{original.height}) -> {manifest_path}")
@@ -218,17 +225,14 @@ def cmd_authenticate(args) -> int:
     manifest, share_dir, reads = _open_store(args)
     out_dir = args.out or share_dir
     user, params = manifest.user_id, manifest.params
+    if args.seeds is not None:  # judged before any share is read
+        params = dataclasses.replace(params, seeds=args.seeds)
     outputs = [out_dir / f"{user}_reconstructed_secret.pgm"]
     outputs += [out_dir / f"{user}_reconstructed_cover_{i}.pgm" for i in range(1, params.n)]
     if params.method is Method.M3:
         outputs.append(out_dir / f"{user}_revealed_original.pgm")
     _refuse_overwrite([("reconstruction", path) for path in outputs], reads)
     share_set = load_share_set(manifest, share_dir)
-    if args.seeds is not None:
-        try:
-            params = dataclasses.replace(params, seeds=args.seeds)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
     secret, covers = authenticate(share_set)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -276,11 +280,14 @@ def cmd_evaluate(args) -> int:
 
 def cmd_batch(args) -> int:
     require_share_count(args.shares)
+    if args.report is not None and not args.report.name:
+        raise UsageError(f"the JSON report {args.report} names no file")
     csv_path = args.csv
     if csv_path is None and args.report is not None:
         csv_path = args.report.with_suffix(".csv")
     paths = corpus_paths(args.root, args.dataset_kind)
-    _refuse_overwrite([("JSON report", args.report), ("per-image CSV", csv_path)], paths)
+    _refuse_overwrite([("JSON report", args.report), ("per-image CSV", csv_path)], paths,
+                      corpus=(args.root, args.dataset_kind))
     rows, report = run_batch(
         root=args.root,
         paths=paths,
@@ -304,7 +311,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, SchemeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IntegrityError as exc:
@@ -313,15 +320,15 @@ def main(argv=None) -> int:
     except (PgmError, BmpError, DimensionMismatchError) as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+    except (ManifestError, DegenerateImageError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
     except EmptyCorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_IO

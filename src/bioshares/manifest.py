@@ -17,7 +17,7 @@ from pathlib import Path
 from .codecs import PgmError, load_pgm, write_pgm_file
 from .images import BitTransform, GrayImage
 from .prng import parse_seed
-from .scheme import Method, SchemeParams, ShareSet
+from .scheme import Method, SchemeError, SchemeParams, ShareSet
 
 MANIFEST_SCHEMA = 1
 DIGEST_ALGORITHM = "sha256"
@@ -44,6 +44,10 @@ class IntegrityError(ValueError):
     """A share file is missing, undecodable, or fails its digest."""
 
 
+class ManifestError(ValueError):
+    """A manifest is refused: too long, not UTF-8 JSON, or a field is invalid."""
+
+
 def pixel_digest(img: GrayImage) -> str:
     """Hex sha256 over the raw row-major pixel bytes, read in place."""
     return hashlib.sha256(img.data).hexdigest()
@@ -59,14 +63,15 @@ class EnrollmentManifest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", tuple(self.dims))
         object.__setattr__(self, "content_digests", tuple(self.content_digests))
-        # one file-name component, so no store name can leave its directory
-        if self.user_id in ("", ".", "..") or any(sep in self.user_id for sep in "/\\\0"):
-            raise ValueError(f"user_id must be a plain file name, got {self.user_id!r}")
+        # one component of Unicode text, so a store name stays in its directory and encodes
+        name = self.user_id
+        if name in ("", ".", "..") or any(c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in name):
+            raise ManifestError(f"user_id must be a plain file name, got {self.user_id!r}")
         if len(self.dims) != 2 or min(self.dims) < 1:
-            raise ValueError(f"dims must be two positive sizes, got {list(self.dims)}")
+            raise ManifestError(f"dims must be two positive sizes, got {list(self.dims)}")
         if len(self.content_digests) != self.params.n:
-            raise ValueError(f"manifest lists {len(self.content_digests)} digests "
-                             f"for n={self.params.n}")
+            raise ManifestError(f"manifest lists {len(self.content_digests)} digests "
+                                f"for n={self.params.n}")
 
     @property
     def share_files(self) -> tuple[str, ...]:
@@ -89,42 +94,47 @@ class EnrollmentManifest:
         return json.dumps(doc, indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "EnrollmentManifest":
+    def from_json(cls, text: str | bytes) -> "EnrollmentManifest":
         try:
-            doc = json.loads(text)
+            doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
         except RecursionError:
-            raise ValueError("manifest JSON is nested too deeply") from None
+            raise ManifestError("manifest JSON is nested too deeply") from None
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
+            raise ManifestError(str(exc)) from None
         if not isinstance(doc, dict):
-            raise ValueError(f"manifest must be a JSON object, got {type(doc).__name__}")
+            raise ManifestError(f"manifest must be a JSON object, got {type(doc).__name__}")
         if doc.get("schema") != MANIFEST_SCHEMA:
-            raise ValueError(f"unsupported manifest schema {doc.get('schema')!r}")
+            raise ManifestError(f"unsupported manifest schema {doc.get('schema')!r}")
         if doc.get("digest_algorithm") != DIGEST_ALGORITHM:
-            raise ValueError(f"unsupported digest algorithm {doc.get('digest_algorithm')!r}")
+            raise ManifestError(f"unsupported digest algorithm {doc.get('digest_algorithm')!r}")
         doc.setdefault("cover_sources", [])
 
         def field(name: str, parse=_text):
             if name not in doc:
-                raise ValueError(f"manifest field {name!r} is missing")
+                raise ManifestError(f"manifest field {name!r} is missing")
             try:
                 return parse(doc[name])
             except (TypeError, ValueError, LookupError, OverflowError) as exc:
-                raise ValueError(f"manifest field {name!r} is invalid: {exc}") from None
+                raise ManifestError(f"manifest field {name!r} is invalid: {exc}") from None
 
-        manifest = cls(
-            user_id=field("user_id"),
-            params=SchemeParams(
-                method=field("method", Method),
-                n=field("n", _integer),
-                bit_transform=field("bit_transform", lambda v: BitTransform(_text(v))),
-                seeds=field("seeds", lambda v: _array(v, lambda s: parse_seed(_text(s)))),
-                cover_sources=field("cover_sources", lambda v: _array(v, _text)),
-            ),
-            dims=field("dims", lambda v: _pair(_array(v, _integer))),
-            content_digests=field("content_digests", lambda v: _array(v, _text)),
-        )
+        try:  # SchemeParams judges the scheme fields
+            manifest = cls(
+                user_id=field("user_id"),
+                params=SchemeParams(
+                    method=field("method", Method),
+                    n=field("n", _integer),
+                    bit_transform=field("bit_transform", lambda v: BitTransform(_text(v))),
+                    seeds=field("seeds", lambda v: _array(v, lambda s: parse_seed(_text(s)))),
+                    cover_sources=field("cover_sources", lambda v: _array(v, _text)),
+                ),
+                dims=field("dims", lambda v: _pair(_array(v, _integer))),
+                content_digests=field("content_digests", lambda v: _array(v, _text)),
+            )
+        except SchemeError as exc:
+            raise ManifestError(str(exc)) from None
         names = list(manifest.share_files)
         if doc.get("share_files") != names:  # stored only as a copy of the derived names
-            raise ValueError(f"manifest field 'share_files' must list {names[0]} .. {names[-1]}")
+            raise ManifestError(f"manifest field 'share_files' must list {names[0]} .. {names[-1]}")
         return manifest
 
 
@@ -165,9 +175,9 @@ def load_manifest(path: str | Path) -> EnrollmentManifest:
         while chunk := f.read(1 << 16):
             size += len(chunk)
             if size > MAX_MANIFEST_BYTES:
-                raise ValueError(f"manifest exceeds the limit of {MAX_MANIFEST_BYTES} bytes")
+                raise ManifestError(f"manifest exceeds the limit of {MAX_MANIFEST_BYTES} bytes")
             chunks.append(chunk)
-    return EnrollmentManifest.from_json(b"".join(chunks).decode("utf-8"))
+    return EnrollmentManifest.from_json(b"".join(chunks))
 
 
 def save_enrollment(share_set: ShareSet, user_id: str, out_dir: str | Path) -> Path:

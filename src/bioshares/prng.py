@@ -58,9 +58,9 @@ def splitmix64(seed: int, count: int, first: int = 1, out: np.ndarray | None = N
 
 
 def mix_seed(seed: int, index: int) -> int:
-    """Child seed number `index` of `seed`: the index-th SplitMix64 output,
-    computed directly in O(1)."""
-    return int(splitmix64((seed + index * _GOLDEN) & _MASK, 1)[0])
+    """Child seed number `index` of `seed`: SplitMix64 output number
+    `index + 1` (mod 2**64), computed directly in O(1)."""
+    return int(splitmix64(seed, 1, (index + 1) & _MASK)[0])
 
 
 def seed_sequence(master: int, count: int) -> list[int]:

@@ -41,6 +41,14 @@ def seed_count(method: Method, n: int) -> int:
     return n if method is Method.M3 else n - 1
 
 
+class SchemeError(ValueError):
+    """SchemeParams refuses a method, share count, seed or cover source."""
+
+
+class DegenerateImageError(ValueError):
+    """`make_covers` refuses an original image of fewer than 2 pixels."""
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Everything needed to regenerate one enrollment deterministically, and
@@ -56,33 +64,33 @@ class SchemeParams:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         object.__setattr__(self, "cover_sources", tuple(str(p) for p in self.cover_sources))
         if not isinstance(self.method, Method):
-            raise ValueError(f"method must be a Method, got {self.method!r}")
+            raise SchemeError(f"method must be a Method, got {self.method!r}")
         if not isinstance(self.bit_transform, BitTransform):
-            raise ValueError(f"bit transform must be a BitTransform, got {self.bit_transform!r}")
+            raise SchemeError(f"bit transform must be a BitTransform, got {self.bit_transform!r}")
         if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise ValueError(f"share count must be an integer, got {self.n!r}")
+            raise SchemeError(f"share count must be an integer, got {self.n!r}")
         if self.n < 2:
-            raise ValueError(f"share count must be at least 2, got {self.n}")
+            raise SchemeError(f"share count must be at least 2, got {self.n}")
         for s in self.seeds:
             if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s <= SEED_MAX:
-                raise ValueError("seeds must be unsigned 64-bit integers")
+                raise SchemeError("seeds must be unsigned 64-bit integers")
         if self.method is not Method.M1 and self.cover_sources:
-            raise ValueError("cover sources apply to method m1 only")
+            raise SchemeError("cover sources apply to method m1 only")
         required = seed_count(self.method, self.n)
         if self.method is Method.M1:
             # m1 takes no seeds when covers are supplied, n-1 when generated
             if self.seeds and self.cover_sources:
-                raise ValueError("method m1 takes supplied covers or texture seeds, not both")
+                raise SchemeError("method m1 takes supplied covers or texture seeds, not both")
             if self.cover_sources and len(self.cover_sources) != required:
-                raise ValueError(
+                raise SchemeError(
                     f"method m1 takes 0 or {required} cover sources, got {len(self.cover_sources)}"
                 )
             if self.seeds and len(self.seeds) != required:
-                raise ValueError(
+                raise SchemeError(
                     f"method m1 takes 0 or {required} seeds, got {len(self.seeds)}"
                 )
         elif len(self.seeds) != required:
-            raise ValueError(
+            raise SchemeError(
                 f"method {self.method.value} takes {required} seeds, got {len(self.seeds)}"
             )
 
@@ -134,7 +142,7 @@ def make_covers(
     """Derive the (secret, covers) pair a method feeds into enrollment. `supplied`
     holds one image per `params.cover_sources` name; SchemeParams judged the names."""
     if original.pixel_count < 2:
-        raise ValueError("original image must have at least 2 pixels")
+        raise DegenerateImageError("original image must have at least 2 pixels")
     if len(supplied) != len(params.cover_sources):
         raise ValueError(
             f"{len(supplied)} covers supplied for {len(params.cover_sources)} cover sources"

@@ -288,6 +288,15 @@ class TestEnroll:
         assert "user_id must be a plain file name" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_user_of_undecodable_bytes_is_usage_error(self, tmp_path, original, capsys):
+        # a command-line name that is not UTF-8 arrives with lone surrogates
+        _, path = original
+        assert run(["enroll", path, "--out", tmp_path / "out", "--seed", "1",
+                    "--user", "a\udcff"]) == 2
+        assert capsys.readouterr().err == (
+            "error: user_id must be a plain file name, got 'a\\udcff'\n")
+        assert not (tmp_path / "out").exists()
+
     def test_wrong_seed_count_is_usage_error(self, tmp_path, original):
         _, path = original
         assert run(["enroll", path, "--out", tmp_path, "--method", "m3",
@@ -508,6 +517,32 @@ class TestAuthenticate:
         assert not out.exists()
         assert sorted(store.iterdir()) == before
 
+    def test_seed_override_is_judged_before_any_share_is_read(self, tmp_path, enrolled, capsys,
+                                                              monkeypatch):
+        _, manifest_path, store = enrolled
+        (store / "alice_share_3.pgm").unlink()
+        read = []
+        monkeypatch.setattr(manifest_module, "load_pgm", read.append)
+        out = tmp_path / "rec"
+        assert run(["authenticate", manifest_path, "--out", out, "--seeds", "1,2"]) == 2
+        assert capsys.readouterr().err == "error: method m3 takes 4 seeds, got 2\n"
+        assert read == []
+        assert not out.exists()
+
+    def test_user_id_of_lone_surrogates_is_format_error(self, tmp_path, enrolled, capsys):
+        # no file system name encodes it, so the store would fail while opening
+        _, manifest_path, store = enrolled
+        doc = json.loads(manifest_path.read_text())
+        doc["user_id"] = "\ud800"
+        doc["share_files"] = [f"\ud800_share_{i}.pgm" for i in range(1, 5)]
+        manifest_path.write_text(json.dumps(doc))
+        for argv in (["authenticate", manifest_path, "--out", tmp_path / "rec"],
+                     ["evaluate", tmp_path / "alice.pgm", manifest_path]):
+            assert run(argv) == 5
+            assert capsys.readouterr().err == (
+                "error: user_id must be a plain file name, got '\\ud800'\n")
+        assert not (tmp_path / "rec").exists()
+
     @pytest.mark.parametrize("command", ["authenticate", "evaluate"])
     def test_deeply_nested_manifest_is_format_error(self, tmp_path, enrolled, capsys, command):
         _, manifest_path, _ = enrolled
@@ -518,6 +553,22 @@ class TestAuthenticate:
             argv = [command, tmp_path / "alice.pgm", manifest_path]
         assert run(argv) == 5
         assert capsys.readouterr().err == "error: manifest JSON is nested too deeply\n"
+        assert not (tmp_path / "rec").exists()
+
+    @pytest.mark.parametrize("command", ["authenticate", "evaluate"])
+    def test_integer_past_the_digit_limit_is_format_error(self, tmp_path, enrolled, capsys,
+                                                          command):
+        # json raises a plain ValueError for an integer of more than 4300 digits
+        _, manifest_path, _ = enrolled
+        manifest_path.write_text('{"schema": 1, "n": ' + "1" * 5000 + "}")
+        if command == "authenticate":
+            argv = [command, manifest_path, "--out", tmp_path / "rec"]
+        else:
+            argv = [command, tmp_path / "alice.pgm", manifest_path]
+        assert run(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: Exceeds the limit (4300 digits) for integer string")
+        assert "Traceback" not in err
         assert not (tmp_path / "rec").exists()
 
     def test_manifest_over_the_size_limit_is_format_error(self, tmp_path, enrolled, monkeypatch,
@@ -722,6 +773,20 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("i/o error: [Errno ") and "Traceback" not in err
 
+    def test_untyped_error_propagates(self, tmp_path, original, monkeypatch):
+        # only the documented error types have exit codes; any other
+        # exception is a bug and must show its traceback
+        _, path = original
+        store = tmp_path / "store"
+        assert run(["enroll", path, "--out", store, "--method", "m3", "--seed", "5"]) == 0
+
+        def broken(original, share):
+            raise ValueError("a bug in the metrics")
+
+        monkeypatch.setattr("bioshares.cli.report_all", broken)
+        with pytest.raises(ValueError, match="a bug in the metrics"):
+            run(["evaluate", path, store / "alice_manifest.json"])
+
     def test_dimension_mismatch_is_format_error(self, tmp_path, original):
         img, path = original
         store = tmp_path / "store"
@@ -853,6 +918,71 @@ class TestBatch:
         assert f"would overwrite the input {flags[-1]}\n" in err
         assert (out, read) == ("", [])
         assert file_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("kind, flags", [
+        ("flat", ["--report", "corpus/summary.pgm"]),
+        ("flat", ["--report", "out/r.json", "--csv", "corpus/rows.BMP"]),
+        ("flat", ["--report", "out/../corpus/summary.pgm"]),
+        ("orl-pgm", ["--report", "corpus/s1/new.pgm"]),
+    ], ids=["flat-report", "flat-csv", "flat-report-resolved", "orl-report"])
+    def test_output_the_next_walk_would_take_is_usage_error(self, tmp_path, corpus, capsys,
+                                                            monkeypatch, kind, flags):
+        # a later batch over the corpus would read it as an image
+        (corpus / "s1").mkdir()
+        write_pgm_file(textured_image(9, 16, 16), corpus / "s1" / "1.pgm")
+        read = []
+        monkeypatch.setattr("bioshares.batch.load_image_file", read.append)
+        monkeypatch.chdir(tmp_path)
+        before = file_bytes(tmp_path)
+        assert run(["batch", "corpus", "--dataset-kind", kind, *flags]) == 2
+        out, err = capsys.readouterr()
+        label = "per-image CSV" if "--csv" in flags else "JSON report"
+        assert err == f"error: the {label} {flags[-1]} would become an image of the corpus corpus\n"
+        assert (out, read) == ("", [])
+        assert file_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("link, target, flags", [
+        ("corpus/summary.pgm", "../elsewhere/x.pgm", ["--report", "corpus/summary.pgm"]),
+        ("out/r.pgm", "../corpus/new.pgm", ["--report", "out/r.pgm"]),
+    ], ids=["dangling-link-in-corpus", "link-into-corpus"])
+    def test_output_linked_into_the_walk_is_usage_error(self, tmp_path, corpus, capsys,
+                                                         monkeypatch, link, target, flags):
+        # the walk would take the link itself, or the file written through it
+        (tmp_path / "elsewhere").mkdir()
+        (tmp_path / "out").mkdir()
+        (tmp_path / link).symlink_to(target)
+        read = []
+        monkeypatch.setattr("bioshares.batch.load_image_file", read.append)
+        monkeypatch.chdir(tmp_path)
+        before = file_bytes(tmp_path)
+        assert run(["batch", "corpus", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: the JSON report {flags[-1]} would become an image of the corpus corpus\n"
+        assert (out, read) == ("", [])
+        assert file_bytes(tmp_path) == before
+        assert not (tmp_path / link).exists()  # still dangling: nothing written through it
+
+    @pytest.mark.parametrize("report", [".", "/"])
+    def test_report_naming_no_file_is_usage_error(self, tmp_path, corpus, capsys, monkeypatch,
+                                                  report):
+        read = []
+        monkeypatch.setattr("bioshares.batch.load_image_file", read.append)
+        monkeypatch.chdir(tmp_path)
+        before = file_bytes(tmp_path)
+        assert run(["batch", corpus, "--report", report]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: the JSON report {report} names no file\n"
+        assert (out, read) == ("", [])
+        assert file_bytes(tmp_path) == before
+
+    def test_report_beside_the_corpus_images_is_kept(self, tmp_path, corpus, capsys):
+        # neither the JSON nor its CSV has a suffix the walk takes
+        report = corpus / "summary.json"
+        assert run(["batch", corpus, "--seed", "4", "--report", report]) == 0
+        assert json.loads(report.read_text())["images"] == 6
+        assert report.with_suffix(".csv").exists()
+        assert run(["batch", corpus, "--seed", "4", "--report", report]) == 0
+        assert json.loads(report.read_text())["images"] == 6
 
     def test_empty_corpus_is_io_error(self, tmp_path):
         empty = tmp_path / "empty"

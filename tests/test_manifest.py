@@ -11,6 +11,7 @@ from bioshares import (
     EnrollmentManifest,
     GrayImage,
     IntegrityError,
+    ManifestError,
     Method,
     SchemeParams,
     enroll,
@@ -22,6 +23,7 @@ from bioshares import (
     textured_image,
     write_pgm_file,
 )
+from bioshares import manifest as manifest_module
 from bioshares.cli import main
 
 from helpers import random_image, traced
@@ -95,13 +97,13 @@ class TestManifest:
             EnrollmentManifest.from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("name", ["", ".", "..", "../x.pgm", "a/b.pgm", "/abs.pgm",
-                                      "a\\b.pgm", "nul\0.pgm"])
+                                      "a\\b.pgm", "nul\0.pgm", "\ud800", "a\udcff"])
     def test_store_names_must_be_plain(self, name):
-        with pytest.raises(ValueError, match="user_id must be a plain file name"):
+        with pytest.raises(ManifestError, match="user_id must be a plain file name"):
             build_manifest(user_id=name)
         doc = json.loads(build_manifest().to_json())
         doc["share_files"][1] = name
-        with pytest.raises(ValueError, match="'share_files' must list"):
+        with pytest.raises(ManifestError, match="'share_files' must list"):
             EnrollmentManifest.from_json(json.dumps(doc))
 
     def test_plain_names_with_dots_are_kept(self):
@@ -130,6 +132,40 @@ class TestManifest:
     def test_pixel_digest_is_sha256_of_payload(self):
         img = GrayImage(2, 2, [1, 2, 3, 4])
         assert pixel_digest(img) == hashlib.sha256(bytes([1, 2, 3, 4])).hexdigest()
+
+
+class TestManifestError:
+    """Every refusal of load_manifest is a ManifestError, whichever layer
+    finds it, so the CLI can map it to exit 5 by its type."""
+
+    @pytest.mark.parametrize("blob, message", [
+        (b'{"schema": 1,', "Expecting property name"),
+        (b'{"user_id": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 5000 + b"]" * 5000, "nested too deeply"),
+        (b'{"schema": 1, "n": ' + b"1" * 5000 + b"}", "Exceeds the limit"),
+    ], ids=["not-json", "not-utf8", "too-deep", "long-integer"])
+    def test_undecodable_manifest(self, tmp_path, blob, message):
+        path = tmp_path / "m.json"
+        path.write_bytes(blob)
+        with pytest.raises(ManifestError, match=message):
+            load_manifest(path)
+
+    def test_manifest_over_the_limit(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.json"
+        save_manifest(build_manifest(), path)
+        monkeypatch.setattr(manifest_module, "MAX_MANIFEST_BYTES", path.stat().st_size - 1)
+        with pytest.raises(ManifestError, match="exceeds the limit"):
+            load_manifest(path)
+
+    def test_scheme_refusal_while_parsing(self, tmp_path):
+        m = build_manifest(params=SchemeParams(Method.M3, n=4, seeds=(1, 2, 3, 4)),
+                           content_digests=("a" * 64,) * 4)
+        doc = json.loads(m.to_json())
+        doc["seeds"] = doc["seeds"][:3]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match="^method m3 takes 4 seeds, got 3$"):
+            load_manifest(path)
 
 
 class TestLoadShareSet:
@@ -243,7 +279,7 @@ about 4x the largest seen, 0.27 MB, for manifests nested ~3,000 deep."""
 
 
 class TestManifestFuzz:
-    """Untrusted manifest bytes may fail only as ValueError or OSError, and
+    """Untrusted manifest bytes may fail only as ManifestError or OSError, and
     `authenticate` maps every one to a documented exit code within a bounded
     amount of memory."""
 
@@ -263,7 +299,7 @@ class TestManifestFuzz:
         path.write_bytes(data.draw(edited_manifests(valid), label="manifest"))
         try:
             load_manifest(path)
-        except (ValueError, OSError):
+        except (ManifestError, OSError):
             pass
         argv = ["authenticate", str(path), "--out", str(store / "rec")]
         seeds = data.draw(st.none() | st.lists(st.integers(0, 2**64 - 1), min_size=1,

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bioshares import (
+    DegenerateImageError,
     GrayImage,
     Method,
+    SchemeError,
     SchemeParams,
     ShareSet,
     authenticate,
@@ -71,6 +73,14 @@ class TestParams:
         SchemeParams(Method.M1, n=4, seeds=(1, 2, 3))
         with pytest.raises(ValueError, match="0 or 3 seeds"):
             SchemeParams(Method.M1, n=4, seeds=(1,))
+
+    @pytest.mark.parametrize("fields", [{"method": "m3", "n": 4}, {"method": Method.M3, "n": 1},
+                                        {"method": Method.M2, "n": 3, "seeds": (1,)}],
+                             ids=["method", "n", "seed-count"])
+    def test_refusals_are_scheme_errors(self, fields):
+        # the CLI maps SchemeError to a usage error by its type, not its message
+        with pytest.raises(SchemeError):
+            SchemeParams(**fields)
 
     def test_cover_sources_m1_only(self):
         with pytest.raises(ValueError, match="m1 only"):
@@ -280,7 +290,7 @@ class TestMakeCovers:
             generate_shares(original, params, covers)
 
     def test_degenerate_original_rejected(self):
-        with pytest.raises(ValueError, match="at least 2 pixels"):
+        with pytest.raises(DegenerateImageError, match="^original image must have at least 2 pixels$"):
             make_covers(GrayImage(1, 1, [0]), SchemeParams(Method.M1, n=2, seeds=(1,)))
 
 
