@@ -145,22 +145,36 @@ def require_share_count(n: int) -> None:
         raise UsageError(f"--shares must be between 2 and {MAX_SHARES}, got {n}")
 
 
+def _say(text: str, file=None) -> None:
+    """Print a line that holds command-line paths, with what the stream cannot
+    encode (such as a path byte that is not UTF-8) as a backslash escape."""
+    file = file or sys.stdout
+    encoding = file.encoding or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding), file=file)
+
+
 def _refuse_overwrite(writes: list[tuple[str, Path | None]], reads: Iterable[Path],
                       corpus: tuple[Path, str] | None = None) -> None:
-    """Refuse, before anything is written, a command that would write over a
-    file it reads, or write two of its outputs to one file. `writes` pairs a
-    label with each output path (None: not written). Paths are compared
-    resolved, so `a/../a/x` and a symbolic link to `x` both name `x`;
-    `os.path.realpath`, unlike `Path.resolve`, leaves a link loop in place,
-    so that the command's own open reports it as an I/O error. A `corpus`
-    (root, kind) also refuses an output that its next walk would take, at
-    the output's own entry or at the file a link there leads to."""
+    """Refuse, before any image is decoded or any file written, a command that
+    would write at a directory or below a path that is not one, over a file it
+    reads, or two of its outputs to one file. `writes` pairs a label with each
+    output path (None: not written). Paths are compared resolved, so `a/../a/x`
+    and a symbolic link to `x` both name `x`. A link loop or a dangling link is
+    left to the command's own open, which reports an I/O error;
+    `os.path.realpath`, unlike `Path.resolve`, leaves a loop in place. A
+    `corpus` (root, kind) also refuses an output that its next walk would take,
+    at the output's own entry or at the file a link there leads to."""
     writes = [(label, path) for label, path in writes if path is not None]
     if not writes:
         return
     inputs = {os.path.realpath(p) for p in reads}
     earlier: dict[str, str] = {}
     for label, path in writes:
+        there = next((p for p in (path, *path.parents) if os.path.exists(p)), path)
+        if there == path and os.path.isdir(path):
+            raise UsageError(f"the {label} {path} names no file")
+        if there != path and not os.path.isdir(there):
+            raise UsageError(f"the {label} {path} lies below {there}, which is not a directory")
         key = os.path.realpath(path)
         if key in inputs:
             raise UsageError(f"the {label} would overwrite the input {path}")
@@ -177,7 +191,10 @@ def cmd_enroll(args) -> int:
     require_share_count(args.shares)
     method = Method(args.method)
     user = args.user or args.input.stem
-    names = [*share_names(user, args.shares), manifest_name(user)]
+    try:
+        names = [*share_names(user, args.shares), manifest_name(user)]
+    except ManifestError as exc:  # the user id is not a plain file name
+        raise UsageError(str(exc)) from exc
     _refuse_overwrite([("enrollment", args.out / name) for name in names],
                       [args.input, *args.cover])
     original = load_image_file(args.input)
@@ -198,12 +215,9 @@ def cmd_enroll(args) -> int:
     # covers are read only once the params accept them
     covers = [load_image_file(p) for p in args.cover]
     share_set = generate_shares(original, params, covers)
-    try:
-        manifest_path = save_enrollment(share_set, user, args.out)
-    except ManifestError as exc:  # the user id is not a plain file name
-        raise UsageError(str(exc)) from exc
-    print(f"enrolled {user}: {args.shares} shares ({method.value}, "
-          f"{original.width}x{original.height}) -> {manifest_path}")
+    manifest_path = save_enrollment(share_set, user, args.out)
+    _say(f"enrolled {user}: {args.shares} shares ({method.value}, "
+         f"{original.width}x{original.height}) -> {manifest_path}")
     return EXIT_OK
 
 
@@ -238,11 +252,11 @@ def cmd_authenticate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for path, img in zip(outputs, (secret, *covers)):
         write_pgm_file(img, path)
-    print(f"digests verified; reconstructed secret and {len(covers)} covers -> {out_dir}")
+    _say(f"digests verified; reconstructed secret and {len(covers)} covers -> {out_dir}")
 
     if params.method is Method.M3:
         write_pgm_file(reveal_original(secret, params), outputs[-1])
-        print(f"revealed original -> {outputs[-1]}")
+        _say(f"revealed original -> {outputs[-1]}")
     return EXIT_OK
 
 
@@ -262,7 +276,7 @@ def cmd_evaluate(args) -> int:
     reports = [report_all(original, share) for share in share_set.shares]
     averaged = mean_reports(reports)
 
-    print(f"{manifest.user_id}: {len(reports)} shares vs {args.original}")
+    _say(f"{manifest.user_id}: {len(reports)} shares vs {args.original}")
     print(_format_table(averaged))
     doc = {
         "schema": EVALUATE_SCHEMA,
@@ -274,17 +288,15 @@ def cmd_evaluate(args) -> int:
     }
     _write_report(args.report, doc)
     if args.report is not None:
-        print(f"report -> {args.report}")
+        _say(f"report -> {args.report}")
     return EXIT_OK
 
 
 def cmd_batch(args) -> int:
     require_share_count(args.shares)
-    if args.report is not None and not args.report.name:
-        raise UsageError(f"the JSON report {args.report} names no file")
     csv_path = args.csv
-    if csv_path is None and args.report is not None:
-        csv_path = args.report.with_suffix(".csv")
+    if csv_path is None and args.report is not None:  # the guard refuses `.` before `.csv`
+        csv_path = args.report.parent / f"{args.report.stem}.csv"
     paths = corpus_paths(args.root, args.dataset_kind)
     _refuse_overwrite([("JSON report", args.report), ("per-image CSV", csv_path)], paths,
                       corpus=(args.root, args.dataset_kind))
@@ -302,7 +314,7 @@ def cmd_batch(args) -> int:
     if csv_path is not None:
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         write_batch_csv(rows, csv_path)
-        print(f"per-image rows -> {csv_path}", file=sys.stderr)
+        _say(f"per-image rows -> {csv_path}", file=sys.stderr)
     return EXIT_OK
 
 

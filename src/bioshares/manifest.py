@@ -31,12 +31,20 @@ are then under 1.55 MB, and 64 share names of at most 255 bytes, 64 digests,
 64 seeds, the user id and the fixed fields add about 0.11 MB."""
 
 
+def _require_plain(name: str) -> None:
+    """Refuse a user id that is not one path component of Unicode text."""
+    if name in ("", ".", "..") or any(c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in name):
+        raise ManifestError(f"user_id must be a plain file name, got {name!r}")
+
+
 def share_names(user_id: str, n: int) -> tuple[str, ...]:
     """The store's names for an enrollment's n shares, in share order."""
+    _require_plain(user_id)
     return tuple(f"{user_id}_share_{i}.pgm" for i in range(1, n + 1))
 
 
 def manifest_name(user_id: str) -> str:
+    _require_plain(user_id)
     return f"{user_id}_manifest.json"
 
 
@@ -63,10 +71,7 @@ class EnrollmentManifest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", tuple(self.dims))
         object.__setattr__(self, "content_digests", tuple(self.content_digests))
-        # one component of Unicode text, so a store name stays in its directory and encodes
-        name = self.user_id
-        if name in ("", ".", "..") or any(c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in name):
-            raise ManifestError(f"user_id must be a plain file name, got {self.user_id!r}")
+        _require_plain(self.user_id)
         if len(self.dims) != 2 or min(self.dims) < 1:
             raise ManifestError(f"dims must be two positive sizes, got {list(self.dims)}")
         if len(self.content_digests) != self.params.n:

@@ -1,8 +1,11 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -999,6 +1002,86 @@ class TestBatch:
         assert run(["batch", root, "--dataset-kind", "orl-pgm", "--seed", "2",
                     "--report", report]) == 0
         assert json.loads(report.read_text())["images"] == 4
+
+
+class TestJudgedBeforeAnyWork:
+    """A user id no store name can be made from, and an output path no file
+    can take (an existing directory, or a path below a file), exit 2 before
+    any image or share is read: nothing decoded, printed or written."""
+
+    CASES = {
+        "enroll-user-outside-out": lambda t: (
+            ["enroll", t.path, "--out", t.out, "--user", "../x", "--seed", "1"],
+            "user_id must be a plain file name, got '../x'"),
+        "enroll-out-file": lambda t: (
+            ["enroll", t.path, "--out", t.path, "--seed", "1"],
+            f"the enrollment {t.path}/alice_share_1.pgm lies below {t.path}, "
+            "which is not a directory"),
+        "enroll-out-below-file": lambda t: (
+            ["enroll", t.path, "--out", t.path / "sub", "--seed", "1"],
+            f"the enrollment {t.path}/sub/alice_share_1.pgm lies below {t.path}, "
+            "which is not a directory"),
+        "authenticate-out-file": lambda t: (
+            ["authenticate", t.manifest, "--out", t.path],
+            f"the reconstruction {t.path}/alice_reconstructed_secret.pgm lies below "
+            f"{t.path}, which is not a directory"),
+        "evaluate-report-dir": lambda t: (
+            ["evaluate", t.path, t.manifest, "--report", t.dir],
+            f"the JSON report {t.dir} names no file"),
+        "batch-csv-dir": lambda t: (
+            ["batch", t.corpus, "--csv", t.dir], f"the per-image CSV {t.dir} names no file"),
+        "batch-report-dir": lambda t: (
+            ["batch", t.corpus, "--report", t.dir], f"the JSON report {t.dir} names no file"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_refused_before_any_read(self, tmp_path, original, capsys, monkeypatch, case):
+        _, path = original
+        store, corpus = tmp_path / "store", tmp_path / "corpus"
+        assert run(["enroll", path, "--out", store, "--seed", "5"]) == 0
+        corpus.mkdir()
+        write_pgm_file(textured_image(4, 16, 16), corpus / "a.pgm")
+        (tmp_path / "dir").mkdir()
+        t = SimpleNamespace(path=path, out=tmp_path / "a" / "out", corpus=corpus,
+                            manifest=store / "alice_manifest.json", dir=tmp_path / "dir")
+        argv, message = self.CASES[case](t)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("read before the refusal")
+
+        for name in ("load_image_file", "load_share_set", "run_batch"):
+            monkeypatch.setattr(f"bioshares.cli.{name}", refuse)
+        before = (sorted(tmp_path.rglob("*")), file_bytes(tmp_path))
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert (sorted(tmp_path.rglob("*")), file_bytes(tmp_path)) == before
+
+
+def test_paths_print_under_a_strict_stdout(tmp_path, original):
+    # a path byte that is not UTF-8 reaches Python as a lone surrogate, which
+    # a strict stdout cannot encode; it prints as a backslash escape
+    _, path = original
+    store = os.fsencode(tmp_path) + b"/st\xff"
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    printed = []
+    for argv in (["enroll", path, "--out", store, "--seed", "1"],
+                 ["authenticate", store + b"/alice_manifest.json", "--out", store + b"/rec"],
+                 ["evaluate", path, store + b"/alice_manifest.json", "--report", store + b"/r.json"]):
+        done = subprocess.run([sys.executable, "-m", "bioshares", *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert (done.returncode, b"Traceback" in done.stderr) == (0, False), done.stderr
+        printed.append(done.stdout)
+    escaped = os.fsencode(tmp_path) + b"/st\\udcff"
+    assert printed[0].endswith(b" -> " + escaped + b"/alice_manifest.json\n")
+    assert printed[1].endswith(b"revealed original -> " + escaped
+                               + b"/rec/alice_revealed_original.pgm\n")
+    assert printed[2].endswith(b"report -> " + escaped + b"/r.json\n")
+    stored = Path(os.fsdecode(store))
+    assert sorted(p.name for p in stored.iterdir()) == [
+        "alice_manifest.json", *(f"alice_share_{i}.pgm" for i in range(1, 5)), "r.json", "rec"]
+    assert load_manifest(stored / "alice_manifest.json").user_id == "alice"
 
 
 class TestNoCommandWritesOverItsInputs:
