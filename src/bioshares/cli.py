@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 usage, 3 I/O (including an empty corpus, and
 running out of memory, which prints `error: out of memory` and no
-traceback), 4 integrity (digest mismatch or missing share), 5 image format
-or dimension problems.
+traceback), 4 integrity (a missing, rewritten or mismatching share), 5
+image format or dimension problems.
 """
 
 from __future__ import annotations
@@ -159,8 +159,11 @@ def _refuse_overwrite(writes: list[tuple[str, Path | None]], reads: Iterable[Pat
     would write at a directory or below a path that is not one, over a file it
     reads, or two of its outputs to one file. `writes` pairs a label with each
     output path (None: not written). Paths are compared resolved, so `a/../a/x`
-    and a symbolic link to `x` both name `x`. A link loop or a dangling link is
-    left to the command's own open, which reports an I/O error;
+    and a symbolic link to `x` both name `x`. Directory entries are judged, so
+    a link above the output that leads to no directory (dangling or looping)
+    is refused as a file is, and a link at the output must lead into a
+    directory. A loop at the output is left to the command's own open, which
+    reports an I/O error;
     `os.path.realpath`, unlike `Path.resolve`, leaves a loop in place. A
     `corpus` (root, kind) also refuses an output that its next walk would take,
     at the output's own entry or at the file a link there leads to."""
@@ -170,12 +173,15 @@ def _refuse_overwrite(writes: list[tuple[str, Path | None]], reads: Iterable[Pat
     inputs = {os.path.realpath(p) for p in reads}
     earlier: dict[str, str] = {}
     for label, path in writes:
-        there = next((p for p in (path, *path.parents) if os.path.exists(p)), path)
+        there = next((p for p in (path, *path.parents) if os.path.lexists(p)), path)
         if there == path and os.path.isdir(path):
             raise UsageError(f"the {label} {path} names no file")
         if there != path and not os.path.isdir(there):
             raise UsageError(f"the {label} {path} lies below {there}, which is not a directory")
         key = os.path.realpath(path)
+        if there == path and os.path.islink(path) and not os.path.isdir(os.path.dirname(key)):
+            raise UsageError(f"the {label} {path} is a link into {os.path.dirname(key)}, "
+                             "which is not a directory")
         if key in inputs:
             raise UsageError(f"the {label} would overwrite the input {path}")
         if key in earlier:

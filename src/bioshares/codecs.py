@@ -45,6 +45,7 @@ _SPACE = re.compile(rb"(?:[%s]|%s)*" % (_WS, _COMMENT.pattern))
 _STRAY = re.compile(rb"[^0-9%s]" % _WS)
 _DIGITS = re.compile(rb"[0-9]+")
 _TEXT = b"0123456789" + _WS
+P5_HEADER = b"P5\n%d %d\n255\n"  # the header save_pgm writes, % (width, height)
 
 
 # no PGM field needs more significant digits than 2**64 has; a longer token
@@ -152,7 +153,7 @@ def _p2_values(data: bytes, pos: int, need: int, maxval: int) -> np.ndarray:
 
 def save_pgm(img: GrayImage) -> bytes:
     """Encode as binary P5 with maxval 255; load_pgm(save_pgm(img)) == img."""
-    return b"P5\n%d %d\n255\n" % (img.width, img.height) + img.data.tobytes()
+    return P5_HEADER % img.dims + img.data.tobytes()
 
 
 def _int_luma(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:

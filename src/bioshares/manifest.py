@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .codecs import PgmError, load_pgm, write_pgm_file
+from .codecs import MAX_PIXELS, P5_HEADER, load_pgm, write_pgm_file
 from .images import BitTransform, GrayImage
 from .prng import parse_seed
 from .scheme import Method, SchemeError, SchemeParams, ShareSet
@@ -49,7 +49,7 @@ def manifest_name(user_id: str) -> str:
 
 
 class IntegrityError(ValueError):
-    """A share file is missing, undecodable, or fails its digest."""
+    """A share file is missing, not the file `enroll` writes, or fails its digest."""
 
 
 class ManifestError(ValueError):
@@ -72,8 +72,9 @@ class EnrollmentManifest:
         object.__setattr__(self, "dims", tuple(self.dims))
         object.__setattr__(self, "content_digests", tuple(self.content_digests))
         _require_plain(self.user_id)
-        if len(self.dims) != 2 or min(self.dims) < 1:
-            raise ManifestError(f"dims must be two positive sizes, got {list(self.dims)}")
+        if len(self.dims) != 2 or min(self.dims) < 1 or self.dims[0] * self.dims[1] > MAX_PIXELS:
+            raise ManifestError(f"dims must be two positive sizes of at most {MAX_PIXELS} "
+                                f"pixels in all, got {list(self.dims)}")
         if len(self.content_digests) != self.params.n:
             raise ManifestError(f"manifest lists {len(self.content_digests)} digests "
                                 f"for n={self.params.n}")
@@ -206,21 +207,22 @@ def save_enrollment(share_set: ShareSet, user_id: str, out_dir: str | Path) -> P
 def load_share_set(manifest: EnrollmentManifest, share_dir: str | Path) -> ShareSet:
     """Load and digest-check every share listed in the manifest.
 
-    Raises IntegrityError on the first missing, undecodable, wrongly sized
-    or digest-mismatching share, before anything is reconstructed.
+    Raises IntegrityError, before anything is reconstructed, on the first share that is
+    missing, not exactly the P5 file save_pgm writes at the manifest's dims, or off its digest.
     """
+    header = P5_HEADER % manifest.dims
+    size = len(header) + manifest.dims[0] * manifest.dims[1]
     shares = []
     for rel, digest in zip(manifest.share_files, manifest.content_digests):
         path = Path(share_dir, rel)
         if not path.is_file():
             raise IntegrityError(f"missing share file: {rel}")
-        try:
-            img = load_pgm(path.read_bytes())
-        except PgmError as exc:
-            raise IntegrityError(f"share file {rel} is not a valid share: {exc}") from exc
-        if img.dims != manifest.dims:
-            raise IntegrityError(f"share file {rel} has dimensions {img.dims}, "
-                                 f"manifest says {manifest.dims}")
+        with open(path, "rb") as f:  # sized first, as read(k) sets aside all k bytes
+            data = f.read(size + 1) if path.stat().st_size == size else b""
+        if len(data) != size or not data.startswith(header):
+            raise IntegrityError(f"share file {rel} is not a valid share: not the P5 file "
+                                 "enroll writes at the manifest's dimensions %dx%d" % manifest.dims)
+        img = load_pgm(data)
         if pixel_digest(img) != digest:
             raise IntegrityError(f"digest mismatch for share file {rel}")
         shares.append(img)

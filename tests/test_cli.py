@@ -268,9 +268,11 @@ class TestEnroll:
         assert read == []
         assert file_bytes(tmp_path) == before
 
-    @pytest.mark.parametrize("slot", ["input", "cover", "out"])
-    def test_link_loop_is_io_error(self, tmp_path, original, capsys, slot):
-        # comparing resolved paths must not turn the open's ELOOP into a traceback
+    @pytest.mark.parametrize("slot, code", [("input", 3), ("cover", 3), ("out", 2)],
+                             ids=["input", "cover", "out"])
+    def test_link_loop_is_io_error(self, tmp_path, original, capsys, slot, code):
+        # comparing resolved paths must not turn the open's ELOOP into a traceback;
+        # a loop above the outputs is no directory, so --out is refused up front
         _, path = original
         (tmp_path / "a").symlink_to(tmp_path / "b")
         (tmp_path / "b").symlink_to(tmp_path / "a")
@@ -279,9 +281,10 @@ class TestEnroll:
                 "cover": ["enroll", path, "--out", tmp_path / "out", "--method", "m1",
                           "--shares", "2", "--cover", loop],
                 "out": ["enroll", path, "--out", loop, "--seed", "1"]}[slot]
-        assert run(argv) == 3
+        assert run(argv) == code
         err = capsys.readouterr().err
-        assert err.startswith("i/o error: [Errno ") and "Traceback" not in err
+        assert err.startswith("i/o error: [Errno " if code == 3 else "error: the enrollment ")
+        assert "Traceback" not in err
 
     def test_user_outside_out_is_usage_error(self, tmp_path, original, capsys):
         _, path = original
@@ -483,23 +486,61 @@ class TestAuthenticate:
         assert run([command, *args, manifest_path, "--share-dir", empty]) == 4
         assert list(empty.iterdir()) == []
 
-    def test_share_value_past_int_digit_limit_is_integrity_error(self, tmp_path, enrolled, capsys):
-        _, manifest_path, store = enrolled
-        share = load_pgm((store / "alice_share_1.pgm").read_bytes())
-        (store / "alice_share_1.pgm").write_bytes(
-            b"P2 24 16 255 " + b"9" * 5000 + b" " + b" ".join(b"%d" % v for v in share.data[1:]))
-        assert run(["authenticate", manifest_path, "--out", tmp_path / "rec"]) == 4
-        err = capsys.readouterr().err
-        assert "share file alice_share_1.pgm is not a valid share: pixel value of more than" in err
+    # rewrites of a 24x16 share that no bioshares command writes; the P2 ones
+    # decode to the same pixels or stop the general decoder, but a share must
+    # be the exact P5 file, so each is refused before any decode
+    SHARE_REWRITES = {
+        "tail-1-byte": lambda b, px: b + b"x",
+        "tail-16-MiB": lambda b, px: b + bytes(16 << 20),
+        "p2": lambda b, px: b"P2\n24 16\n255\n" + b" ".join(b"%d" % v for v in px),
+        "p2-zeros": lambda b, px: b"P2 24 16 255 " + b" ".join(
+            b"0" * 5000 + b"%d" % v for v in px),
+        "p2-5000-digits": lambda b, px: b"P2 24 16 255 " + b"9" * 5000 + b" "
+            + b" ".join(b"%d" % v for v in px[1:]),
+        "comment": lambda b, px: b"P5\n# a share\n24 16\n255\n" + px.tobytes(),
+        "spaces": lambda b, px: b"P5 24 16 255 " + px.tobytes(),
+        "maxval-254": lambda b, px: b"P5\n24 16\n254\n" + np.minimum(px, 254).tobytes(),
+        "one-byte-short": lambda b, px: b[:-1],
+        "swapped-dims": lambda b, px: b"P5\n16 24\n255\n" + px.tobytes(),
+    }
 
-    def test_share_rewritten_as_p2_with_long_leading_zeros_still_authenticates(
-            self, tmp_path, enrolled):
-        img, manifest_path, store = enrolled
-        share = load_pgm((store / "alice_share_1.pgm").read_bytes())
-        (store / "alice_share_1.pgm").write_bytes(
-            b"P2 24 16 255 " + b" ".join(b"0" * 5000 + b"%d" % v for v in share.data))
-        assert run(["authenticate", manifest_path, "--out", tmp_path / "rec"]) == 0
-        assert load_pgm((tmp_path / "rec" / "alice_revealed_original.pgm").read_bytes()) == img
+    @pytest.mark.parametrize("command", ["authenticate", "evaluate"])
+    @pytest.mark.parametrize("rewrite", list(SHARE_REWRITES))
+    def test_share_not_as_written_is_refused(
+            self, tmp_path, original, enrolled, capsys, monkeypatch, command, rewrite):
+        _, manifest_path, store = enrolled
+        share = store / "alice_share_1.pgm"
+        written = share.read_bytes()
+        assert len(written) == len(b"P5\n24 16\n255\n") + 24 * 16
+        share.write_bytes(self.SHARE_REWRITES[rewrite](written, load_pgm(written).data))
+        decoded = []
+        monkeypatch.setattr(manifest_module, "load_pgm", decoded.append)
+        before = (sorted(tmp_path.rglob("*")), file_bytes(tmp_path))
+        capsys.readouterr()
+        argv = {"authenticate": ["authenticate", manifest_path, "--out", tmp_path / "rec"],
+                "evaluate": ["evaluate", original[1], manifest_path,
+                             "--report", tmp_path / "r.json"]}[command]
+        assert run(argv) == 4
+        assert capsys.readouterr() == ("", (
+            "integrity error: share file alice_share_1.pgm is not a valid share: not the P5 "
+            "file enroll writes at the manifest's dimensions 24x16\n"))
+        assert decoded == []
+        assert (sorted(tmp_path.rglob("*")), file_bytes(tmp_path)) == before
+
+    @pytest.mark.parametrize("command", ["authenticate", "evaluate"])
+    def test_dims_past_the_pixel_ceiling_are_format_error(self, tmp_path, original, enrolled,
+                                                          capsys, command):
+        # the ceiling bounds the one read of each share
+        _, manifest_path, _ = enrolled
+        doc = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps({**doc, "dims": [8192, 8193]}))
+        argv = {"authenticate": ["authenticate", manifest_path, "--out", tmp_path / "rec"],
+                "evaluate": ["evaluate", original[1], manifest_path]}[command]
+        assert run(argv) == 5
+        assert capsys.readouterr().err == (
+            "error: dims must be two positive sizes of at most 67108864 pixels in all, "
+            "got [8192, 8193]\n")
+        assert not (tmp_path / "rec").exists()
 
     def test_seed_override_with_wrong_count_is_usage_error(self, tmp_path, enrolled):
         _, manifest_path, _ = enrolled
@@ -1056,6 +1097,56 @@ class TestJudgedBeforeAnyWork:
         assert run(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert (sorted(tmp_path.rglob("*")), file_bytes(tmp_path)) == before
+
+    # output paths through symbolic links that lead nowhere a file can be written,
+    # with `dangling -> nowhere`, `loop <-> loop2` and `dl2 -> nowhere/r.json`
+    LINK_CASES = {
+        "enroll-out-dangling": (["enroll", "alice.pgm", "--out", "dangling", "--seed", "1"],
+                                "the enrollment dangling/alice_share_1.pgm lies below dangling, "
+                                "which is not a directory"),
+        "enroll-out-loop": (["enroll", "alice.pgm", "--out", "loop", "--seed", "1"],
+                            "the enrollment loop/alice_share_1.pgm lies below loop, "
+                            "which is not a directory"),
+        "report-below-dangling": (["evaluate", "alice.pgm", "store/alice_manifest.json",
+                                   "--report", "dangling/r.json"],
+                                  "the JSON report dangling/r.json lies below dangling, "
+                                  "which is not a directory"),
+        "report-link-into-nowhere": (["evaluate", "alice.pgm", "store/alice_manifest.json",
+                                      "--report", "dl2"],
+                                     "the JSON report dl2 is a link into {tmp}/nowhere, "
+                                     "which is not a directory"),
+    }
+
+    @pytest.fixture
+    def links(self, tmp_path, original, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["enroll", "alice.pgm", "--out", "store", "--seed", "5"]) == 0
+        for link, target in [("dangling", "nowhere"), ("loop", "loop2"), ("loop2", "loop"),
+                             ("dl2", "nowhere/r.json"), ("dl3", "r2.json")]:
+            Path(link).symlink_to(target)
+        return tmp_path
+
+    @pytest.mark.parametrize("case", list(LINK_CASES))
+    def test_link_to_no_directory_is_refused_before_any_read(self, links, capsys, monkeypatch,
+                                                             case):
+        argv, message = self.LINK_CASES[case]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("read before the refusal")
+
+        for name in ("load_image_file", "load_share_set"):
+            monkeypatch.setattr(f"bioshares.cli.{name}", refuse)
+        before = (sorted(links.rglob("*")), file_bytes(links))
+        capsys.readouterr()
+        assert run(argv) == 2
+        expected = message.format(tmp=os.path.realpath(links))
+        assert capsys.readouterr() == ("", f"error: {expected}\n")
+        assert (sorted(links.rglob("*")), file_bytes(links)) == before
+
+    def test_report_link_into_a_directory_is_written_through(self, links):
+        assert run(["evaluate", "alice.pgm", "store/alice_manifest.json", "--report", "dl3"]) == 0
+        assert Path("dl3").is_symlink()
+        assert json.loads(Path("r2.json").read_text())["pairs"] == 4
 
 
 def test_paths_print_under_a_strict_stdout(tmp_path, original):

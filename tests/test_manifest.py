@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import hashlib
 import json
 
@@ -24,6 +26,7 @@ from bioshares import (
     write_pgm_file,
 )
 from bioshares import manifest as manifest_module
+from bioshares.codecs import MAX_PIXELS
 from bioshares.cli import main
 
 from helpers import random_image, traced
@@ -116,6 +119,13 @@ class TestManifest:
     def test_dims_must_be_two_positive_sizes(self, dims):
         with pytest.raises(ValueError, match="dims must be two positive sizes"):
             build_manifest(dims=dims)
+
+    def test_dims_within_the_pixel_ceiling(self):
+        # the ceiling bounds the one read of each share
+        assert build_manifest(dims=(1, MAX_PIXELS)).dims == (1, MAX_PIXELS)
+        for dims in [(1, MAX_PIXELS + 1), (2**13, 2**13 + 1)]:
+            with pytest.raises(ManifestError, match=f"at most {MAX_PIXELS} pixels in all"):
+                build_manifest(dims=dims)
 
     def test_unknown_schema_rejected(self):
         doc = json.loads(build_manifest().to_json())
@@ -225,6 +235,33 @@ class TestLoadShareSet:
         write_pgm_file(GrayImage.filled(5, 5, 0), share_dir / manifest.share_files[0])
         with pytest.raises(IntegrityError, match="dimensions"):
             load_share_set(manifest, share_dir)
+
+    def test_tail_is_not_read(self, enrolled):
+        # a share is refused by its size, so a 16 MiB tail costs no memory
+        manifest, share_dir, _ = enrolled
+
+        def load():
+            with contextlib.suppress(IntegrityError):
+                load_share_set(manifest, share_dir)
+
+        untailed = traced(load)[1]
+        with open(share_dir / manifest.share_files[-1], "ab") as f:
+            f.write(bytes(16 << 20))
+        with pytest.raises(IntegrityError, match="not a valid share"):
+            load_share_set(manifest, share_dir)
+        assert traced(load)[1] <= untailed + (64 << 10)
+
+    def test_share_shorter_than_the_dims_promise_is_not_read(self, enrolled):
+        # a read sets aside all it asks for, so a 16 MP manifest over 6x6
+        # shares must not ask
+        manifest, share_dir, _ = enrolled
+        large = dataclasses.replace(manifest, dims=(4096, 4096))
+
+        def load():
+            with pytest.raises(IntegrityError, match="dimensions 4096x4096"):
+                load_share_set(large, share_dir)
+
+        assert traced(load)[1] < 64 << 10
 
 
 MANIFEST_FIELDS = ("schema", "user_id", "method", "n", "bit_transform", "seeds", "dims",
