@@ -7,7 +7,7 @@ the stored template revocable. The metrics module scores how unlike the
 original the shares are.
 """
 
-from .batch import BatchRow, CorpusReport, format_csv, image_seeds, run_batch, write_batch_csv
+from .batch import BatchRow, CorpusReport, image_seeds, run_batch, write_batch_csv
 from .codecs import (
     BmpError,
     PgmError,
@@ -47,13 +47,10 @@ from .metrics import (
     mean_reports,
     mse,
     npcr,
-    psnr,
     psnr_from_mse,
     report_all,
-    rmse,
     ssim,
     uaci,
-    uaci_from_mae,
 )
 from .permutation import (
     PermutationKey,

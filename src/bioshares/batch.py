@@ -134,7 +134,7 @@ def run_batch(
     return rows, report
 
 
-def format_csv(rows: Sequence[BatchRow]) -> str:
+def write_batch_csv(rows: Sequence[BatchRow], path: str | Path) -> None:
     """Fixed-header CSV, one row per image, metrics averaged over its shares."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -145,8 +145,4 @@ def format_csv(rows: Sequence[BatchRow]) -> str:
             [str(row.index), row.path]
             + [format_measure(getattr(m, name), 6) for name in MetricsReport.FIELDS]
         )
-    return out.getvalue()
-
-
-def write_batch_csv(rows: Sequence[BatchRow], path: str | Path) -> None:
-    Path(path).write_text(format_csv(rows), encoding="utf-8")
+    Path(path).write_text(out.getvalue(), encoding="utf-8")

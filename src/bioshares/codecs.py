@@ -6,7 +6,9 @@ stray byte; an error's offset is found from the parsed values."""
 
 from __future__ import annotations
 
+import os
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,8 @@ _STRAY = re.compile(rb"[^0-9%s]" % _WS)
 _DIGITS = re.compile(rb"[0-9]+")
 _TEXT = b"0123456789" + _WS
 P5_HEADER = b"P5\n%d %d\n255\n"  # the header save_pgm writes, % (width, height)
+_BMP_HEADER = struct.Struct("<10xIIiixxHI12xI")
+_BLOCK = 1 << 16  # an image file's first read; a pipe is read in blocks of this size
 
 
 # no PGM field needs more significant digits than 2**64 has; a longer token
@@ -171,15 +175,9 @@ def load_bmp(data: bytes) -> GrayImage:
         raise BmpError("truncated BMP header")
     if data[0:2] != b"BM":
         raise BmpError("not a BMP file")
-    pixel_offset = int.from_bytes(data[10:14], "little")
-    header_size = int.from_bytes(data[14:18], "little")
+    offset, header_size, width, raw_height, bpp, compression, colours = _BMP_HEADER.unpack_from(data)
     if header_size < 40:
         raise BmpError(f"unsupported BMP header size {header_size}")
-    width = int.from_bytes(data[18:22], "little", signed=True)
-    raw_height = int.from_bytes(data[22:26], "little", signed=True)
-    bpp = int.from_bytes(data[28:30], "little")
-    compression = int.from_bytes(data[30:34], "little")
-    clr_used = int.from_bytes(data[46:50], "little")
     if compression != 0:
         raise BmpError(f"unsupported compression {compression}; only uncompressed BI_RGB is handled")
     if bpp not in (8, 24):
@@ -190,11 +188,11 @@ def load_bmp(data: bytes) -> GrayImage:
     bottom_up = raw_height > 0
     stride = ((bpp * width + 31) // 32) * 4
     need = stride * height
-    if len(data) < pixel_offset + need:
+    if len(data) < offset + need:
         raise BmpError("truncated pixel data")
     if width * height > MAX_PIXELS:
         raise BmpError(_too_large(width, height))
-    raster = np.frombuffer(data, np.uint8, count=need, offset=pixel_offset).reshape(height, stride)
+    raster = np.frombuffer(data, np.uint8, count=need, offset=offset).reshape(height, stride)
     if bottom_up:
         raster = raster[::-1]
 
@@ -202,7 +200,7 @@ def load_bmp(data: bytes) -> GrayImage:
         bgr = raster[:, : width * 3].reshape(height, width, 3).astype(np.uint32)
         gray = _int_luma(bgr[..., 2], bgr[..., 1], bgr[..., 0])
     else:
-        count = clr_used or 256
+        count = colours or 256
         pal_off = 14 + header_size
         if len(data) < pal_off + 4 * count:
             raise BmpError("truncated palette")
@@ -225,8 +223,49 @@ def load_image(data: bytes) -> GrayImage:
     raise PgmError("unrecognised image format (expected PGM or BMP)", offset=0)
 
 
+def read_at_most(file, limit: int) -> bytes:
+    """Up to `limit` bytes of a path, or of an open binary file from its position.
+    A seekable file is asked for no more than it holds, as read(k) sets aside
+    all k bytes first; a pipe or FIFO is read in blocks."""
+    if not hasattr(file, "read"):
+        with open(file, "rb") as f:
+            return read_at_most(f, limit)
+    if file.seekable():
+        return file.read(max(0, min(limit, os.fstat(file.fileno()).st_size - file.tell())))
+    data = bytearray()
+    while len(data) < limit and (block := file.read(min(_BLOCK, limit - len(data)))):
+        data += block
+    return bytes(data)
+
+
+def _extent(head: bytes) -> int:
+    """How far into a file the image that `head` begins may reach: a BMP's
+    pixels or palette, whichever ends later; a PGM's first block plus 1 (P5)
+    or 64 (P2) bytes a pixel, or that block alone when the width and height
+    do not end within it."""
+    if head[:2] == b"BM" and len(head) >= 54:
+        offset, header_size, width, height, bpp, _, colours = _BMP_HEADER.unpack_from(head)
+        pixels = offset + (bpp * width + 31) // 32 * 4 * abs(height)
+        return max(pixels, 14 + header_size + 4 * (colours or 256))
+    try:
+        width, _, pos = _read_uint(head, 2, "width")
+        height, _, pos = _read_uint(head, pos, "height")
+    except PgmError:  # the decoder reports it from `head`
+        return 0
+    per_pixel = {b"P5": 1, b"P2": 64}.get(head[:2], 0) if pos < _BLOCK else 0
+    return _BLOCK + per_pixel * width * height
+
+
 def load_image_file(path: str | Path) -> GrayImage:
-    return load_image(Path(path).read_bytes())
+    """Decode an image file, reading its first _BLOCK bytes and then no
+    further than _extent."""
+    with open(path, "rb") as f:
+        data = read_at_most(f, _BLOCK)
+        end = _extent(data)
+        data += read_at_most(f, end - len(data))
+    if data[:2] == b"P2" and len(data) == end:  # a value cut at the limit is dropped
+        data = data[: len(data.rstrip(b"0123456789"))]
+    return load_image(data)
 
 
 def write_pgm_file(img: GrayImage, path: str | Path) -> None:

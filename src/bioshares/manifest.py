@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .codecs import MAX_PIXELS, P5_HEADER, load_pgm, write_pgm_file
+from .codecs import MAX_PIXELS, P5_HEADER, load_pgm, read_at_most, write_pgm_file
 from .images import BitTransform, GrayImage
 from .prng import parse_seed
 from .scheme import Method, SchemeError, SchemeParams, ShareSet
@@ -175,15 +175,10 @@ def save_manifest(manifest: EnrollmentManifest, path: str | Path) -> None:
 
 
 def load_manifest(path: str | Path) -> EnrollmentManifest:
-    # in blocks, since read(k) sets aside all k bytes before it reads any
-    chunks, size = [], 0
-    with open(path, "rb") as f:
-        while chunk := f.read(1 << 16):
-            size += len(chunk)
-            if size > MAX_MANIFEST_BYTES:
-                raise ManifestError(f"manifest exceeds the limit of {MAX_MANIFEST_BYTES} bytes")
-            chunks.append(chunk)
-    return EnrollmentManifest.from_json(b"".join(chunks))
+    data = read_at_most(path, MAX_MANIFEST_BYTES + 1)
+    if len(data) > MAX_MANIFEST_BYTES:
+        raise ManifestError(f"manifest exceeds the limit of {MAX_MANIFEST_BYTES} bytes")
+    return EnrollmentManifest.from_json(data)
 
 
 def save_enrollment(share_set: ShareSet, user_id: str, out_dir: str | Path) -> Path:
@@ -215,10 +210,9 @@ def load_share_set(manifest: EnrollmentManifest, share_dir: str | Path) -> Share
     shares = []
     for rel, digest in zip(manifest.share_files, manifest.content_digests):
         path = Path(share_dir, rel)
-        if not path.is_file():
+        if not path.is_file():  # judged unopened, so a FIFO here cannot block
             raise IntegrityError(f"missing share file: {rel}")
-        with open(path, "rb") as f:  # sized first, as read(k) sets aside all k bytes
-            data = f.read(size + 1) if path.stat().st_size == size else b""
+        data = read_at_most(path, size + 1)
         if len(data) != size or not data.startswith(header):
             raise IntegrityError(f"share file {rel} is not a valid share: not the P5 file "
                                  "enroll writes at the manifest's dimensions %dx%d" % manifest.dims)

@@ -99,10 +99,6 @@ def mse(i: GrayImage, s: GrayImage) -> float:
     return _pair_sums(i, s)[1] / i.pixel_count
 
 
-def rmse(i: GrayImage, s: GrayImage) -> float:
-    return math.sqrt(mse(i, s))
-
-
 def mae(i: GrayImage, s: GrayImage) -> float:
     return _pair_sums(i, s)[0] / i.pixel_count
 
@@ -112,10 +108,6 @@ def psnr_from_mse(mse_value: float) -> float:
     if mse_value == 0.0:
         return math.inf
     return 20.0 * math.log10(255.0 / math.sqrt(mse_value))
-
-
-def psnr(i: GrayImage, s: GrayImage) -> float:
-    return psnr_from_mse(mse(i, s))
 
 
 def ssim(i: GrayImage, s: GrayImage) -> float:
@@ -133,13 +125,9 @@ def npcr(i: GrayImage, s: GrayImage) -> float:
     return 100.0 * _pair_sums(i, s)[2] / i.pixel_count
 
 
-def uaci_from_mae(mae_value: float) -> float:
-    return 100.0 * mae_value / 255.0
-
-
 def uaci(i: GrayImage, s: GrayImage) -> float:
     """Mean absolute intensity change as a percentage of the 255 range."""
-    return uaci_from_mae(mae(i, s))
+    return 100.0 * mae(i, s) / 255.0
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from bioshares import (
     corpus_paths,
     correlation,
     enroll,
+    mae,
     make_covers,
     mean_reports,
     npcr,
@@ -39,7 +40,7 @@ from bioshares import (
     run_batch,
     seed_count,
     textured_image,
-    uaci_from_mae,
+    uaci,
 )
 from bioshares.images import REVERSE8
 from bioshares.prng import seed_sequence
@@ -122,7 +123,11 @@ def test_metric_ideal_row():
 
 def test_consistency_of_published_uaci_row():
     with criterion("published-row consistency: UACI from MAE=59.54 equals 23.35 +/- 0.5"):
-        assert abs(uaci_from_mae(59.54) - 23.35) <= 0.5
+        # absolute differences summing to 2977 over 50 pixels: MAE 59.54
+        original = GrayImage.filled(50, 1, 0)
+        share = GrayImage(50, 1, [255] * 11 + [172] + [0] * 38)
+        assert mae(original, share) == 59.54
+        assert abs(uaci(original, share) - 23.35) <= 0.5
 
 
 # A share pixel is uniform on 0..255 and independent of the original pixel x,

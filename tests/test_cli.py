@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -378,6 +379,85 @@ class TestEnroll:
         with pytest.raises(SystemExit) as err:
             run(["enroll", path, "--explode"])
         assert err.value.code == 2
+
+
+class TestInputsAreReadAsFarAsTheyReach:
+    """An input image is read only as far as its header says, and a pipe or
+    FIFO is read in blocks, so trailing or endless bytes cost no memory."""
+
+    ENROLL = ["--user", "face", "--method", "m3", "--seed", "7"]
+    SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    @staticmethod
+    def written(root):
+        """The files a command wrote under `root`, by name."""
+        return {p.name: b for p, b in file_bytes(root).items()}
+
+    def test_tail_is_not_read(self, tmp_path):
+        data = save_pgm(textured_image(5, 64, 64))
+        for name, body in (("plain", data), ("tailed", data + bytes(16 << 20))):
+            (tmp_path / f"{name}.pgm").write_bytes(body)
+            assert run(["enroll", tmp_path / f"{name}.pgm", "--out", tmp_path / name,
+                        *self.ENROLL]) == 0
+        assert len(self.written(tmp_path / "plain")) == 5
+        assert self.written(tmp_path / "tailed") == self.written(tmp_path / "plain")
+
+    def test_endless_input_is_format_error(self, tmp_path):
+        # the address-space cap makes a read of the whole device fail fast
+        resource = pytest.importorskip("resource")
+        if not os.path.exists("/dev/zero"):
+            pytest.skip("needs /dev/zero")
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+        done = subprocess.run([sys.executable, "-m", "bioshares", "enroll", "/dev/zero",
+                               "--out", tmp_path / "zero", "--seed", "7"], env=self.SRC_ENV,
+                              capture_output=True, timeout=120, preexec_fn=cap_memory)
+        assert (done.returncode, done.stderr) == (
+            5, b"format error: unrecognised image format (expected PGM or BMP) (byte offset 0)\n")
+        assert not (tmp_path / "zero").exists()
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P5\n#" + b"c" * (70 << 10) + b"\n4 3\n255\n" + bytes(12),
+         "malformed header: expected width (byte offset 65536)"),
+        (b"P2\n4 3\n255\n#" + b"c" * (70 << 10) + b"\n" + b"7 " * 12,
+         "truncated pixel payload: expected 12 values, found 0 (byte offset 66304)"),
+    ], ids=["p5-header-past-the-first-block", "p2-body-past-the-cap"])
+    def test_image_past_its_read_limit_is_format_error(self, tmp_path, capsys, data, message):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(data)
+        assert run(["enroll", path, "--out", tmp_path / "out", "--seed", "7"]) == 5
+        assert capsys.readouterr().err == f"format error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_piped_input_enrolls_as_the_file(self, tmp_path):
+        data = save_pgm(textured_image(5, 64, 64))
+        (tmp_path / "face.pgm").write_bytes(data)
+        assert run(["enroll", tmp_path / "face.pgm", "--out", tmp_path / "file", *self.ENROLL]) == 0
+        done = subprocess.run([sys.executable, "-m", "bioshares", "enroll", "/dev/stdin",
+                               "--out", tmp_path / "pipe", *self.ENROLL],
+                              input=data, env=self.SRC_ENV, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert len(self.written(tmp_path / "file")) == 5
+        assert self.written(tmp_path / "pipe") == self.written(tmp_path / "file")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_manifest_through_a_fifo_authenticates(self, tmp_path, original):
+        _, path = original
+        store = tmp_path / "store"
+        assert run(["enroll", path, "--out", store, "--seed", "7"]) == 0
+        assert run(["authenticate", store / "alice_manifest.json", "--out", tmp_path / "file"]) == 0
+        fifo = tmp_path / "manifest.fifo"
+        os.mkfifo(fifo)
+        text = (store / "alice_manifest.json").read_bytes()
+        writer = threading.Thread(target=fifo.write_bytes, args=(text,), daemon=True)
+        writer.start()
+        assert run(["authenticate", fifo, "--share-dir", store, "--out", tmp_path / "fifo"]) == 0
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert len(self.written(tmp_path / "file")) == 5
+        assert self.written(tmp_path / "fifo") == self.written(tmp_path / "file")
 
 
 class TestAuthenticate:

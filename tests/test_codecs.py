@@ -1,3 +1,7 @@
+import os
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +16,10 @@ from bioshares import (
     load_image_file,
     load_pgm,
     save_pgm,
+    textured_image,
     write_pgm_file,
 )
+from bioshares.codecs import read_at_most
 
 from helpers import build_bmp_8bit, build_bmp_24bit, gray_images, load_pgm_token_loop, traced
 
@@ -495,3 +501,74 @@ class TestLoadImageFuzz:
                                                        "bmp8-palette", "bmp24"])
     def test_seed_files_decode(self, seed):
         assert isinstance(load_image(seed), GrayImage)
+
+
+FILE_ENCODERS = {
+    "p5": save_pgm,
+    "p2": _p2_bytes,
+    "bmp8": lambda img: build_bmp_8bit(img.rows()),
+    "bmp24": lambda img: build_bmp_24bit(np.repeat(img.rows()[..., None], 3, axis=2)),
+}
+TAIL_BYTES = 16 << 20
+
+
+class TestReadAtMost:
+    def test_regular_file_is_asked_for_no_more_than_it_holds(self, tmp_path):
+        path = tmp_path / "small"
+        path.write_bytes(b"abc")
+        data, peak = traced(read_at_most, path, 1 << 30)
+        assert data == b"abc"
+        assert peak < 64 << 10
+        assert read_at_most(path, 2) == b"ab"
+        with open(path, "rb") as f:
+            f.read(1)
+            assert read_at_most(f, 1 << 30) == b"bc"
+
+    def test_pipe_is_read_in_blocks_up_to_the_limit(self):
+        r, w = os.pipe()
+        os.write(w, b"x" * 50_000)  # within the pipe's buffer, so no writer thread
+        os.close(w)
+        with os.fdopen(r, "rb") as f:
+            assert read_at_most(f, 30_000) == b"x" * 30_000
+            data, peak = traced(read_at_most, f, 1 << 30)
+        assert data == b"x" * 20_000
+        assert peak < 1 << 20
+
+
+class TestLoadImageFile:
+    """An image file is read as far as its header says the image reaches."""
+
+    @pytest.mark.parametrize("kind", list(FILE_ENCODERS))
+    def test_tail_is_not_read(self, tmp_path, kind):
+        img = textured_image(5, 64, 64)
+        data = FILE_ENCODERS[kind](img)
+        tail = b" 7" * (TAIL_BYTES // 2) if kind == "p2" else bytes(TAIL_BYTES)
+        plain, tailed = tmp_path / "plain", tmp_path / "tailed"
+        plain.write_bytes(data)
+        tailed.write_bytes(data + tail)
+        got, untailed_peak = traced(load_image_file, plain)
+        assert got == img
+        got, tailed_peak = traced(load_image_file, tailed)
+        assert got == img
+        assert tailed_peak <= untailed_peak + (4 << 20)
+
+    @given(st.sampled_from(list(FILE_ENCODERS)), st.integers(100, 300), st.integers(100, 300),
+           st.binary(max_size=64), st.integers(0, 3 << 16))
+    @settings(max_examples=40, deadline=None)
+    def test_same_outcome_as_decoding_the_whole_file(self, kind, width, height, tail, repeat):
+        # files on both sides of the first block, with and without a tail
+        data = FILE_ENCODERS[kind](textured_image(width, width, height)) + tail * repeat
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "img")
+            path.write_bytes(data)
+            assert decode_outcome(load_image_file, path) == decode_outcome(load_image, data)
+
+    def test_p2_value_cut_at_the_limit_is_not_read(self, tmp_path):
+        # a 1x1 P2 is read up to byte 65,600; its value 123 straddles that limit
+        head = b"P2 1 1 255\n#"
+        data = head + b"c" * (65_597 - len(head)) + b"\n123\n"
+        assert load_image(data) == GrayImage(1, 1, [123])
+        path = tmp_path / "cut.pgm"
+        path.write_bytes(data)
+        with pytest.raises(PgmError, match=r"expected 1 values, found 0 \(byte offset 65598\)"):
+            load_image_file(path)

@@ -22,13 +22,10 @@ from bioshares import (
     mean_reports,
     mse,
     npcr,
-    psnr,
     psnr_from_mse,
     report_all,
-    rmse,
     ssim,
     uaci,
-    uaci_from_mae,
     xor_images,
 )
 from bioshares import metrics
@@ -89,7 +86,7 @@ class TestErrors:
         a = GrayImage(2, 1, [0, 10])
         b = GrayImage(2, 1, [3, 14])
         assert mse(a, b) == pytest.approx(12.5)
-        assert rmse(a, b) == pytest.approx(math.sqrt(12.5))
+        assert report_all(a, b).rmse == pytest.approx(math.sqrt(12.5))
 
     def test_mae_values(self):
         assert mae(ramp(), ramp()) == 0.0
@@ -103,10 +100,10 @@ class TestErrors:
 
 class TestPsnr:
     def test_zero_error_is_infinite(self):
-        assert psnr(ramp(), ramp()) == math.inf
+        assert report_all(ramp(), ramp()).psnr == math.inf
 
     def test_full_scale_error_is_zero_db(self):
-        assert psnr(ALL_ZERO, ALL_255) == 0.0
+        assert report_all(ALL_ZERO, ALL_255).psnr == 0.0
         assert psnr_from_mse(65025.0) == 0.0
 
     def test_from_mse_formula(self):
@@ -155,7 +152,10 @@ class TestPixelChange:
     def test_uaci_values(self):
         assert uaci(ramp(), ramp()) == 0.0
         assert uaci(ALL_ZERO, ALL_255) == 100.0
-        assert uaci_from_mae(59.54) == pytest.approx(23.349019607843136, abs=1e-9)
+        # absolute differences summing to 2977 over 50 pixels: MAE 59.54
+        share = GrayImage(50, 1, [255] * 11 + [172] + [0] * 38)
+        assert uaci(GrayImage.filled(50, 1, 0), share) == pytest.approx(23.349019607843136,
+                                                                     abs=1e-9)
 
     @given(image_pairs())
     @settings(max_examples=60)
@@ -445,7 +445,7 @@ class TestCentringSlot:
         shares = [random_image(rng, 20, 14) for _ in range(3)]
         shares.append(GrayImage(20, 14, originals[0].data))
         measures = [(mse, float_mse), (mae, float_mae), (npcr, npcr_oracle),
-                    (uaci, lambda a, b: uaci_from_mae(float_mae(a, b))),
+                    (uaci, lambda a, b: 100.0 * float_mae(a, b) / 255.0),
                     (correlation, float_correlation), (ssim, float_ssim)]
         same_first = [(o, shares[(k + m) % 4], *measure) for o in originals
                       for m, measure in enumerate(measures) for k in range(4)]
