@@ -26,7 +26,6 @@ from .images import (
     GrayImage,
     bit_transform,
     require_same_dims,
-    transform_lut,
     xor_images,
 )
 from .manifest import (

@@ -87,21 +87,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generate, reconstruct and evaluate cancelable biometric image shares.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    scheme = argparse.ArgumentParser(add_help=False)  # the options enroll and batch share
+    scheme.add_argument("--method", choices=[m.value for m in Method], default="m3")
+    scheme.add_argument("--shares", type=int, default=4, metavar="N",
+                        help=f"share count n (2..{MAX_SHARES})")
+    scheme.add_argument("--bit-transform", type=_bit_transform, default=BitTransform(),
+                        metavar="{reverse8,rotate:K}")
 
-    p_enroll = sub.add_parser("enroll", help="split an image into shares and write a manifest")
+    p_enroll = sub.add_parser("enroll", parents=[scheme],
+                              help="split an image into shares and write a manifest")
     p_enroll.add_argument("input", type=Path, help="secret image (PGM or BMP)")
     p_enroll.add_argument("--out", type=Path, default=Path("."), help="output directory")
     p_enroll.add_argument("--user", default=None, help="user id (default: input file stem)")
-    p_enroll.add_argument("--method", choices=[m.value for m in Method], default="m3")
-    p_enroll.add_argument("--shares", type=int, default=4, metavar="N",
-                          help=f"share count n (2..{MAX_SHARES})")
     seed_source = p_enroll.add_mutually_exclusive_group()
     seed_source.add_argument("--seed", type=_u64, default=None, metavar="U64",
                              help="master seed; per-slot seeds derive from it")
     seed_source.add_argument("--seeds", type=_seed_list, default=None, metavar="LIST",
                              help="comma-separated explicit per-slot seeds")
-    p_enroll.add_argument("--bit-transform", type=_bit_transform, default=BitTransform(),
-                          metavar="{reverse8,rotate:K}")
     p_enroll.add_argument("--cover", type=Path, action="append", default=[],
                           help="cover image for method m1 (repeat n-1 times)")
     p_enroll.set_defaults(func=cmd_enroll)
@@ -123,14 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--report", type=Path, default=None, help="write the JSON report here")
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_batch = sub.add_parser("batch", help="enroll and evaluate a whole dataset")
+    p_batch = sub.add_parser("batch", parents=[scheme], help="enroll and evaluate a whole dataset")
     p_batch.add_argument("root", type=Path, help="dataset root directory")
     p_batch.add_argument("--dataset-kind", choices=DATASET_KINDS, default="flat")
-    p_batch.add_argument("--method", choices=[m.value for m in Method], default="m3")
-    p_batch.add_argument("--shares", type=int, default=4, metavar="N")
     p_batch.add_argument("--seed", type=_u64, default=1, metavar="U64", help="master seed")
-    p_batch.add_argument("--bit-transform", type=_bit_transform, default=BitTransform(),
-                         metavar="{reverse8,rotate:K}")
     p_batch.add_argument("--report", type=Path, default=None,
                          help="write the JSON aggregate here (CSV lands next to it)")
     p_batch.add_argument("--csv", type=Path, default=None, help="write the per-image CSV here")

@@ -31,8 +31,8 @@ class BmpError(ValueError):
 
 
 MAX_PIXELS = 2**26
-"""The most pixels a decoder accepts (64 MP). Each is checked only once the
-file is long enough to hold its pixels, and before any pixel array is built."""
+"""The most pixels a decoder accepts (64 MP). It is judged from the header,
+before any pixel byte is read or parsed."""
 
 
 def _too_large(width: int, height: int) -> str:
@@ -94,6 +94,8 @@ def load_pgm(data: bytes) -> GrayImage:
     if maxval > 255:
         raise PgmError(f"maxval {maxval} exceeds 255", offset=mstart)
     need = width * height
+    if need > MAX_PIXELS:
+        raise PgmError(_too_large(width, height), offset=wstart)
 
     if binary:
         if not data[pos : pos + 1].isspace():
@@ -105,8 +107,6 @@ def load_pgm(data: bytes) -> GrayImage:
                 f"truncated pixel payload: expected {need} bytes, found {available}",
                 offset=len(data),
             )
-        if need > MAX_PIXELS:
-            raise PgmError(_too_large(width, height), offset=wstart)
         # bytes(data) is data itself for bytes input, so this view is not a copy
         pixels = np.frombuffer(bytes(data), dtype=np.uint8, count=need, offset=pos)
         if maxval < 255:
@@ -117,11 +117,6 @@ def load_pgm(data: bytes) -> GrayImage:
                     offset=pos + int(over.argmax()),
                 )
         return GrayImage.adopt(width, height, pixels)
-
-    if need > (len(data) - pos) // 2:  # each value takes a separator and a digit
-        raise PgmError(f"truncated pixel payload: header asks for {need} values", offset=len(data))
-    if need > MAX_PIXELS:
-        raise PgmError(_too_large(width, height), offset=wstart)
     return GrayImage.adopt(width, height, _p2_values(data, pos, need, maxval))
 
 
@@ -185,13 +180,13 @@ def load_bmp(data: bytes) -> GrayImage:
     if width <= 0 or raw_height == 0:
         raise BmpError(f"bad dimensions {width}x{raw_height}")
     height = abs(raw_height)
+    if width * height > MAX_PIXELS:
+        raise BmpError(_too_large(width, height))
     bottom_up = raw_height > 0
     stride = ((bpp * width + 31) // 32) * 4
     need = stride * height
     if len(data) < offset + need:
         raise BmpError("truncated pixel data")
-    if width * height > MAX_PIXELS:
-        raise BmpError(_too_large(width, height))
     raster = np.frombuffer(data, np.uint8, count=need, offset=offset).reshape(height, stride)
     if bottom_up:
         raster = raster[::-1]
@@ -241,10 +236,12 @@ def read_at_most(file, limit: int) -> bytes:
 def _extent(head: bytes) -> int:
     """How far into a file the image that `head` begins may reach: a BMP's
     pixels or palette, whichever ends later; a PGM's first block plus 1 (P5)
-    or 64 (P2) bytes a pixel, or that block alone when the width and height
-    do not end within it."""
+    or 64 (P2) bytes a pixel. A header over MAX_PIXELS, or a PGM whose width
+    and height do not end within that block, gets the block alone."""
     if head[:2] == b"BM" and len(head) >= 54:
         offset, header_size, width, height, bpp, _, colours = _BMP_HEADER.unpack_from(head)
+        if width * abs(height) > MAX_PIXELS:
+            return _BLOCK
         pixels = offset + (bpp * width + 31) // 32 * 4 * abs(height)
         return max(pixels, 14 + header_size + 4 * (colours or 256))
     try:
@@ -252,8 +249,9 @@ def _extent(head: bytes) -> int:
         height, _, pos = _read_uint(head, pos, "height")
     except PgmError:  # the decoder reports it from `head`
         return 0
-    per_pixel = {b"P5": 1, b"P2": 64}.get(head[:2], 0) if pos < _BLOCK else 0
-    return _BLOCK + per_pixel * width * height
+    if pos >= _BLOCK or width * height > MAX_PIXELS:
+        return _BLOCK
+    return _BLOCK + {b"P5": 1, b"P2": 64}.get(head[:2], 0) * width * height
 
 
 def load_image_file(path: str | Path) -> GrayImage:

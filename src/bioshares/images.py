@@ -135,11 +135,6 @@ class BitTransform:
 REVERSE8 = BitTransform()
 
 
-def transform_lut(transform: BitTransform) -> np.ndarray:
-    """Read-only 256-entry lookup table realising the transform."""
-    return np.frombuffer(_TABLES[transform.descriptor], dtype=np.uint8)
-
-
 def bit_transform(img: GrayImage, transform: BitTransform = REVERSE8) -> GrayImage:
     """Apply the per-pixel transform to every pixel of the image.
 

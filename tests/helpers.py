@@ -23,6 +23,7 @@ from bioshares import (
     require_same_dims,
     splitmix64,
 )
+from bioshares.codecs import MAX_PIXELS
 from bioshares.metrics import SSIM_C1, SSIM_C2
 
 
@@ -254,6 +255,9 @@ def load_pgm_token_loop(data):
     if maxval > 255:
         raise PgmError(f"maxval {maxval} exceeds 255", offset=mstart)
     need = width * height
+    if need > MAX_PIXELS:
+        raise PgmError(f"image of {width}x{height} pixels exceeds the limit of {MAX_PIXELS} pixels",
+                       offset=wstart)
 
     if binary:
         if pos >= len(data) or data[pos] not in _PGM_SPACE:
@@ -275,8 +279,6 @@ def load_pgm_token_loop(data):
                 )
         return GrayImage(width, height, pixels)
 
-    if need > (len(data) - pos) // 2:
-        raise PgmError(f"truncated pixel payload: header asks for {need} values", offset=len(data))
     values = np.empty(need, dtype=np.uint8)
     for i in range(need):
         try:

@@ -340,7 +340,8 @@ class TestEnroll:
         path = tmp_path / "huge.pgm"
         path.write_bytes(b"P2\n1000000 1000000\n255\n1 2 3\n")
         assert run(["enroll", path, "--out", tmp_path / "out"]) == 5
-        assert "truncated pixel payload" in capsys.readouterr().err
+        assert ("format error: image of 1000000x1000000 pixels exceeds the limit of 67108864"
+                " pixels (byte offset 3)") in capsys.readouterr().err
 
     def test_header_field_past_int_digit_limit_is_format_error(self, tmp_path, capsys):
         path = tmp_path / "wide.pgm"
@@ -381,12 +382,26 @@ class TestEnroll:
         assert err.value.code == 2
 
 
+def _bmp24_header(width, height):
+    """The 54 header bytes of a 24-bit BMP of width x height pixels."""
+    head = bytearray(build_bmp_24bit(np.zeros((1, 1, 3)))[:54])
+    head[18:26] = width.to_bytes(4, "little") + height.to_bytes(4, "little")
+    return bytes(head)
+
+
 class TestInputsAreReadAsFarAsTheyReach:
     """An input image is read only as far as its header says, and a pipe or
     FIFO is read in blocks, so trailing or endless bytes cost no memory."""
 
     ENROLL = ["--user", "face", "--method", "m3", "--seed", "7"]
     SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    @staticmethod
+    def memory_capped():
+        """A preexec_fn that caps a child's address space at 1.5 GiB, so that a
+        read of a whole stream or file fails fast as out of memory (exit 3)."""
+        resource = pytest.importorskip("resource")
+        return lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
 
     @staticmethod
     def written(root):
@@ -423,13 +438,89 @@ class TestInputsAreReadAsFarAsTheyReach:
          "malformed header: expected width (byte offset 65536)"),
         (b"P2\n4 3\n255\n#" + b"c" * (70 << 10) + b"\n" + b"7 " * 12,
          "truncated pixel payload: expected 12 values, found 0 (byte offset 66304)"),
-    ], ids=["p5-header-past-the-first-block", "p2-body-past-the-cap"])
+        # the width 12 starts at byte 65,535, so the first block holds only its 1
+        (b"P5\n#" + b"c" * 65_530 + b"\n12 1 255\n" + bytes(12),
+         "malformed header: expected height (byte offset 65536)"),
+        (b"P2\n#" + b"c" * 65_530 + b"\n12 1 255\n" + b"7 " * 12,
+         "malformed header: expected height (byte offset 65536)"),
+    ], ids=["p5-header-past-the-first-block", "p2-body-past-the-cap",
+            "p5-width-cut-by-the-first-block", "p2-width-cut-by-the-first-block"])
     def test_image_past_its_read_limit_is_format_error(self, tmp_path, capsys, data, message):
         path = tmp_path / "long.pgm"
         path.write_bytes(data)
         assert run(["enroll", path, "--out", tmp_path / "out", "--seed", "7"]) == 5
         assert capsys.readouterr().err == f"format error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("via", ["pipe", "fifo"])
+    @pytest.mark.parametrize("head", [
+        b"P5 99999 99999 255\n",
+        b"P2 99999 99999 255\n",
+        _bmp24_header(99999, 99999),
+    ], ids=["p5", "p2", "bmp24"])
+    def test_stream_over_the_pixel_ceiling_is_refused_from_its_header(self, tmp_path, head, via):
+        # an endless stream behind a header over MAX_PIXELS
+        cap_memory = self.memory_capped()
+        if via == "fifo" and not hasattr(os, "mkfifo"):
+            pytest.skip("needs FIFOs")
+        source = "/dev/stdin" if via == "pipe" else tmp_path / "image.fifo"
+        if via == "fifo":
+            os.mkfifo(source)
+        err = tmp_path / "err.txt"
+        with open(err, "wb") as err_file:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "bioshares", "enroll", source, "--out", tmp_path / "out",
+                 "--seed", "7"], env=self.SRC_ENV, stdout=subprocess.DEVNULL, stderr=err_file,
+                stdin=subprocess.PIPE if via == "pipe" else subprocess.DEVNULL, bufsize=0,
+                preexec_fn=cap_memory)
+        sent = [0]
+
+        def feed():
+            block = bytes(1 << 20)
+            try:
+                with child.stdin if via == "pipe" else open(source, "wb", buffering=0) as stream:
+                    stream.write(head)
+                    while sent[0] < 4 << 30:
+                        sent[0] += stream.write(block)
+            except BrokenPipeError:  # the reader is gone
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        assert child.wait(timeout=120) == 5, err.read_bytes()
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        offset = b"" if head[:2] == b"BM" else b" (byte offset 3)"
+        assert err.read_bytes() == (
+            b"format error: image of 99999x99999 pixels exceeds the limit of 67108864 pixels"
+            + offset + b"\n")
+        assert sent[0] < 16 << 20
+        assert not (tmp_path / "out").exists()
+
+    def test_sparse_file_over_the_pixel_ceiling_is_read_no_further_than_its_first_block(
+            self, tmp_path):
+        # the header's extent is about 10 GB
+        cap_memory = self.memory_capped()
+        path = tmp_path / "sparse.pgm"
+        with open(path, "wb") as f:
+            f.write(b"P5 99999 99999 255\n")
+            f.truncate(16 << 30)
+        script = ("import sys, tracemalloc\n"
+                  "from bioshares import PgmError, load_image_file\n"
+                  "tracemalloc.start()\n"
+                  "try:\n"
+                  "    load_image_file(sys.argv[1])\n"
+                  "except PgmError as exc:\n"
+                  "    print(exc)\n"
+                  "print(tracemalloc.get_traced_memory()[1])\n")
+        done = subprocess.run(
+            [sys.executable, "-c", script, path], env=self.SRC_ENV, capture_output=True,
+            timeout=120, preexec_fn=cap_memory)
+        assert done.returncode == 0, done.stderr
+        message, peak = done.stdout.decode().splitlines()
+        assert message == ("image of 99999x99999 pixels exceeds the limit of 67108864 pixels"
+                           " (byte offset 3)")
+        assert int(peak) < 1 << 20
 
     def test_piped_input_enrolls_as_the_file(self, tmp_path):
         data = save_pgm(textured_image(5, 64, 64))

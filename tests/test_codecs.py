@@ -49,11 +49,22 @@ class TestPgmReader:
             load_pgm(b"P2 2 2 255 0 1 2")
 
     def test_p2_pixel_count_bounded_by_payload(self):
-        # 10**12 pixels announced, 7 payload bytes: rejected before allocating
-        data = b"P2\n1000000 1000000\n255\n1 2 3\n"
-        with pytest.raises(PgmError, match="header asks for 1000000000000 values") as err:
-            load_pgm(data)
-        assert err.value.offset == len(data)
+        def refuse(data):
+            with pytest.raises(PgmError) as err:
+                load_pgm(data)
+            return str(err.value)
+
+        # 10**12 pixels announced, 7 payload bytes: refused from the header
+        message, peak = traced(refuse, b"P2\n1000000 1000000\n255\n1 2 3\n")
+        assert message == ("image of 1000000x1000000 pixels exceeds the limit of 67108864"
+                           " pixels (byte offset 3)")
+        assert peak < 64 << 10
+        # within the ceiling the values are counted, and still nothing of the
+        # header's size is allocated
+        message, peak = traced(refuse, b"P2\n8192 8192\n255\n1 2 3\n")
+        assert message == ("truncated pixel payload: expected 67108864 values, found 3"
+                           " (byte offset 23)")
+        assert peak < 64 << 10
         # the densest payload, one separator and one digit per value, still decodes
         assert load_pgm(b"P2 3 1 9 1 2 3") == GrayImage(3, 1, [1, 2, 3])
 
@@ -126,7 +137,7 @@ class TestPgmReader:
             load_pgm(b"P2 1 1 255 000" + b"9" * 20)
         with pytest.raises(PgmError, match="pixel value of more than 20 digits exceeds"):
             load_pgm(b"P2 1 1 255 1" + b"0" * 20)
-        with pytest.raises(PgmError, match="header asks for 10000000000000000000 values"):
+        with pytest.raises(PgmError, match="image of 10000000000000000000x1 pixels exceeds"):
             load_pgm(b"P2 1" + b"0" * 19 + b" 1 255 1")
 
     def test_error_carries_offset(self):
