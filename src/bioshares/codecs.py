@@ -65,9 +65,9 @@ def _decimal(token: bytes) -> int:
 
 
 def _read_uint(buf: bytes, pos: int, what: str) -> tuple[int, int, int]:
-    """Read a decimal token; returns (value, token_start, next_pos)."""
-    start = _SPACE.match(buf, pos).end()
-    token = _DIGITS.match(buf, start)
+    """Read a decimal token, as if `buf` ended at _BLOCK; returns (value, token_start, next_pos)."""
+    start = _SPACE.match(buf, pos, _BLOCK).end()
+    token = _DIGITS.match(buf, start, _BLOCK)
     if token is None:
         raise PgmError(f"malformed header: expected {what}", offset=start)
     value = _decimal(token[0])
@@ -77,27 +77,33 @@ def _read_uint(buf: bytes, pos: int, what: str) -> tuple[int, int, int]:
     return value, start, token.end()
 
 
-def load_pgm(data: bytes) -> GrayImage:
-    """Decode a P2 or P5 PGM with maxval <= 255."""
-    if len(data) < 2 or data[0:1] != b"P" or data[1:2] not in (b"2", b"5"):
+def _pgm_header(data: bytes) -> tuple[int, int, int, int]:
+    """Width, height and maxval of a P2 or P5 PGM, and the offset just past
+    maxval. Every field and MAX_PIXELS are judged here, on the first _BLOCK
+    bytes alone but for the last check: that maxval does not run on past them."""
+    if data[:2] not in (b"P2", b"P5"):
         raise PgmError("not a P2/P5 PGM", offset=0)
-    binary = data[1:2] == b"5"
     width, wstart, pos = _read_uint(data, 2, "width")
     height, hstart, pos = _read_uint(data, pos, "height")
     maxval, mstart, pos = _read_uint(data, pos, "maxval")
-    if width <= 0:
-        raise PgmError(f"malformed header: width {width}", offset=wstart)
-    if height <= 0:
-        raise PgmError(f"malformed header: height {height}", offset=hstart)
-    if maxval <= 0:
-        raise PgmError(f"malformed header: maxval {maxval}", offset=mstart)
+    for what, value, start in (("width", width, wstart), ("height", height, hstart),
+                               ("maxval", maxval, mstart)):
+        if value <= 0:
+            raise PgmError(f"malformed header: {what} {value}", offset=start)
     if maxval > 255:
         raise PgmError(f"maxval {maxval} exceeds 255", offset=mstart)
-    need = width * height
-    if need > MAX_PIXELS:
+    if width * height > MAX_PIXELS:
         raise PgmError(_too_large(width, height), offset=wstart)
+    if data[pos : pos + 1].isdigit():  # only at _BLOCK is a token cut
+        raise PgmError(f"malformed header: maxval runs past byte {_BLOCK}", offset=mstart)
+    return width, height, maxval, pos
 
-    if binary:
+
+def load_pgm(data: bytes) -> GrayImage:
+    """Decode a P2 or P5 PGM with maxval <= 255."""
+    width, height, maxval, pos = _pgm_header(data)
+    need = width * height
+    if data[1:2] == b"5":
         if not data[pos : pos + 1].isspace():
             raise PgmError("malformed header: missing whitespace after maxval", offset=pos)
         pos += 1
@@ -155,17 +161,16 @@ def save_pgm(img: GrayImage) -> bytes:
     return P5_HEADER % img.dims + img.data.tobytes()
 
 
-def _int_luma(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # round(0.299 R + 0.587 G + 0.114 B) in exact integer arithmetic
-    return ((299 * r + 587 * g + 114 * b + 500) // 1000).astype(np.uint8)
+def _int_luma(bgr: np.ndarray) -> np.ndarray:
+    # round(0.299 R + 0.587 G + 0.114 B) in exact integer arithmetic, from the last axis's B, G, R
+    bgr = bgr.astype(np.uint32)
+    return ((299 * bgr[..., 2] + 587 * bgr[..., 1] + 114 * bgr[..., 0] + 500) // 1000).astype(np.uint8)
 
 
-def load_bmp(data: bytes) -> GrayImage:
-    """Decode an uncompressed BMP (BITMAPINFOHEADER or later, 8 or 24 bpp).
-
-    24-bit pixels are converted with the integer luma above; 8-bit pixels go
-    through the luma of their palette entry.
-    """
+def _bmp_header(data: bytes) -> tuple[int, int, int, slice, slice]:
+    """Width, signed height and bit depth of an uncompressed BMP, and the slices
+    of `data` its pixels and palette (empty at 24 bits) take. Every field and
+    MAX_PIXELS are judged here; the pixels must start, and the palette end, by _BLOCK."""
     if len(data) < 54:
         raise BmpError("truncated BMP header")
     if data[0:2] != b"BM":
@@ -182,28 +187,35 @@ def load_bmp(data: bytes) -> GrayImage:
     height = abs(raw_height)
     if width * height > MAX_PIXELS:
         raise BmpError(_too_large(width, height))
-    bottom_up = raw_height > 0
-    stride = ((bpp * width + 31) // 32) * 4
-    need = stride * height
-    if len(data) < offset + need:
+    pixels = slice(offset, offset + (bpp * width + 31) // 32 * 4 * height)
+    palette = slice(14 + header_size, (14 + header_size + 4 * (colours or 256)) if bpp == 8 else 0)
+    if (end := max(offset, palette.stop)) > _BLOCK:
+        raise BmpError(f"header of {end} bytes exceeds the limit of {_BLOCK} bytes")
+    return width, raw_height, bpp, pixels, palette
+
+
+def load_bmp(data: bytes) -> GrayImage:
+    """Decode an uncompressed BMP (BITMAPINFOHEADER or later, 8 or 24 bpp).
+
+    24-bit pixels are converted with the integer luma above; 8-bit pixels go
+    through the luma of their palette entry.
+    """
+    width, raw_height, bpp, pixels, palette = _bmp_header(data)
+    if len(data) < pixels.stop:
         raise BmpError("truncated pixel data")
-    raster = np.frombuffer(data, np.uint8, count=need, offset=offset).reshape(height, stride)
-    if bottom_up:
+    height = abs(raw_height)
+    raster = np.frombuffer(data, np.uint8)[pixels].reshape(height, -1)
+    if raw_height > 0:  # bottom-up rows
         raster = raster[::-1]
 
     if bpp == 24:
-        bgr = raster[:, : width * 3].reshape(height, width, 3).astype(np.uint32)
-        gray = _int_luma(bgr[..., 2], bgr[..., 1], bgr[..., 0])
+        gray = _int_luma(raster[:, : width * 3].reshape(height, width, 3))
     else:
-        count = colours or 256
-        pal_off = 14 + header_size
-        if len(data) < pal_off + 4 * count:
+        if len(data) < palette.stop:
             raise BmpError("truncated palette")
-        pal = np.frombuffer(data, np.uint8, count=4 * count, offset=pal_off).reshape(count, 4)
-        pal = pal.astype(np.uint32)
-        pal_gray = _int_luma(pal[:, 2], pal[:, 1], pal[:, 0])
+        pal_gray = _int_luma(np.frombuffer(data[palette], np.uint8).reshape(-1, 4))
         idx = raster[:, :width]
-        if int(idx.max()) >= count:
+        if int(idx.max()) >= len(pal_gray):
             raise BmpError("palette index out of range")
         gray = pal_gray[idx]
     return GrayImage.adopt(width, height, gray.ravel())
@@ -234,24 +246,15 @@ def read_at_most(file, limit: int) -> bytes:
 
 
 def _extent(head: bytes) -> int:
-    """How far into a file the image that `head` begins may reach: a BMP's
-    pixels or palette, whichever ends later; a PGM's first block plus 1 (P5)
-    or 64 (P2) bytes a pixel. A header over MAX_PIXELS, or a PGM whose width
-    and height do not end within that block, gets the block alone."""
-    if head[:2] == b"BM" and len(head) >= 54:
-        offset, header_size, width, height, bpp, _, colours = _BMP_HEADER.unpack_from(head)
-        if width * abs(height) > MAX_PIXELS:
-            return _BLOCK
-        pixels = offset + (bpp * width + 31) // 32 * 4 * abs(height)
-        return max(pixels, 14 + header_size + 4 * (colours or 256))
+    """How far into a file the image that `head`, its first _BLOCK bytes, begins may reach:
+    a BMP's or P5's pixel end, or a P2's first block plus 64 bytes a pixel; 0 if refused."""
     try:
-        width, _, pos = _read_uint(head, 2, "width")
-        height, _, pos = _read_uint(head, pos, "height")
-    except PgmError:  # the decoder reports it from `head`
+        if head[:2] == b"BM":
+            return _bmp_header(head)[3].stop  # the end of the pixel slice
+        width, height, _, pos = _pgm_header(head)
+    except (PgmError, BmpError):  # the decoder reports it from `head`
         return 0
-    if pos >= _BLOCK or width * height > MAX_PIXELS:
-        return _BLOCK
-    return _BLOCK + {b"P5": 1, b"P2": 64}.get(head[:2], 0) * width * height
+    return pos + 1 + width * height if head[1:2] == b"5" else _BLOCK + 64 * width * height
 
 
 def load_image_file(path: str | Path) -> GrayImage:

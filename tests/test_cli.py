@@ -389,6 +389,26 @@ def _bmp24_header(width, height):
     return bytes(head)
 
 
+def _with_uint32(data, at, value):
+    """`data` with its little-endian 32-bit field at byte `at` set to `value`:
+    a BMP's pixel offset is at byte 10, its header size at 14, its palette
+    size (clr_used) at 46."""
+    return data[:at] + value.to_bytes(4, "little") + data[at + 4:]
+
+
+def _bmp8_palette_past_the_first_block():
+    """A 2x2 8-bit BMP whose header size puts its palette at bytes
+    65,054-66,078; its pixels stay at byte 1,078."""
+    data = _with_uint32(build_bmp_8bit(np.arange(4).reshape(2, 2)), 14, 65_040)
+    return data[:1086] + bytes(65_054 - 1086) + data[54:1078]
+
+
+# the heads of a 1x1 BMP whose palette size (8 bits) or pixel offset (24 bits)
+# is 2**32 - 1, so that its palette or pixels would end gigabytes into the file
+BMP8_MAX_PALETTE_SIZE_HEAD = _with_uint32(build_bmp_8bit(np.zeros((1, 1)))[:54], 46, 2**32 - 1)
+BMP24_MAX_PIXEL_OFFSET_HEAD = _with_uint32(_bmp24_header(1, 1), 10, 2**32 - 1)
+
+
 class TestInputsAreReadAsFarAsTheyReach:
     """An input image is read only as far as its header says, and a pipe or
     FIFO is read in blocks, so trailing or endless bytes cost no memory."""
@@ -443,23 +463,57 @@ class TestInputsAreReadAsFarAsTheyReach:
          "malformed header: expected height (byte offset 65536)"),
         (b"P2\n#" + b"c" * 65_530 + b"\n12 1 255\n" + b"7 " * 12,
          "malformed header: expected height (byte offset 65536)"),
+        # the maxval 255 starts at byte 65,534, so the first block holds only its 25
+        (b"P5\n#" + b"c" * 65_525 + b"\n2 1 255\n" + bytes(2),
+         "malformed header: maxval runs past byte 65536 (byte offset 65534)"),
+        (b"P2\n#" + b"c" * 65_525 + b"\n2 1 255\n7 7\n",
+         "malformed header: maxval runs past byte 65536 (byte offset 65534)"),
+        # a 2x2 24-bit BMP whose 16 pixel bytes start at byte 65,537
+        (_with_uint32(build_bmp_24bit(np.zeros((2, 2, 3)))[:54], 10, 65_537)
+         + bytes(65_537 - 54 + 16),
+         "header of 65537 bytes exceeds the limit of 65536 bytes"),
+        (_bmp8_palette_past_the_first_block(),
+         "header of 66078 bytes exceeds the limit of 65536 bytes"),
     ], ids=["p5-header-past-the-first-block", "p2-body-past-the-cap",
-            "p5-width-cut-by-the-first-block", "p2-width-cut-by-the-first-block"])
+            "p5-width-cut-by-the-first-block", "p2-width-cut-by-the-first-block",
+            "p5-maxval-cut-by-the-first-block", "p2-maxval-cut-by-the-first-block",
+            "bmp24-pixels-past-the-first-block", "bmp8-palette-past-the-first-block"])
     def test_image_past_its_read_limit_is_format_error(self, tmp_path, capsys, data, message):
-        path = tmp_path / "long.pgm"
+        path = tmp_path / "long.img"
         path.write_bytes(data)
         assert run(["enroll", path, "--out", tmp_path / "out", "--seed", "7"]) == 5
         assert capsys.readouterr().err == f"format error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_bmp24_header_size_and_palette_size_are_not_read(self, tmp_path):
+        # a 24-bit BMP has no palette, so neither field bounds anything
+        rgb = np.repeat(textured_image(5, 64, 64).rows()[..., None], 3, axis=2)
+        data = build_bmp_24bit(rgb)
+        (tmp_path / "plain.bmp").write_bytes(data)
+        (tmp_path / "huge.bmp").write_bytes(
+            _with_uint32(_with_uint32(data, 14, 2**32 - 1), 46, 2**32 - 1))
+        for name in ("plain", "huge"):
+            assert run(["enroll", tmp_path / f"{name}.bmp", "--out", tmp_path / name,
+                        *self.ENROLL]) == 0
+        assert len(self.written(tmp_path / "plain")) == 5
+        assert self.written(tmp_path / "huge") == self.written(tmp_path / "plain")
+
+    OVER_THE_CEILING = b"image of 99999x99999 pixels exceeds the limit of 67108864 pixels"
+
     @pytest.mark.parametrize("via", ["pipe", "fifo"])
-    @pytest.mark.parametrize("head", [
-        b"P5 99999 99999 255\n",
-        b"P2 99999 99999 255\n",
-        _bmp24_header(99999, 99999),
-    ], ids=["p5", "p2", "bmp24"])
-    def test_stream_over_the_pixel_ceiling_is_refused_from_its_header(self, tmp_path, head, via):
-        # an endless stream behind a header over MAX_PIXELS
+    @pytest.mark.parametrize("head, message", [
+        (b"P5 99999 99999 255\n", OVER_THE_CEILING + b" (byte offset 3)"),
+        (b"P2 99999 99999 255\n", OVER_THE_CEILING + b" (byte offset 3)"),
+        (_bmp24_header(99999, 99999), OVER_THE_CEILING),
+        (BMP8_MAX_PALETTE_SIZE_HEAD,
+         b"header of 17179869234 bytes exceeds the limit of 65536 bytes"),
+        (BMP24_MAX_PIXEL_OFFSET_HEAD,
+         b"header of 4294967295 bytes exceeds the limit of 65536 bytes"),
+    ], ids=["p5", "p2", "bmp24", "bmp8-palette-size", "bmp24-pixel-offset"])
+    def test_stream_over_the_pixel_ceiling_is_refused_from_its_header(
+            self, tmp_path, head, message, via):
+        # an endless stream behind a header over MAX_PIXELS, or behind a BMP
+        # header whose palette or pixels would end gigabytes in
         cap_memory = self.memory_capped()
         if via == "fifo" and not hasattr(os, "mkfifo"):
             pytest.skip("needs FIFOs")
@@ -490,37 +544,49 @@ class TestInputsAreReadAsFarAsTheyReach:
         assert child.wait(timeout=120) == 5, err.read_bytes()
         writer.join(timeout=60)
         assert not writer.is_alive()
-        offset = b"" if head[:2] == b"BM" else b" (byte offset 3)"
-        assert err.read_bytes() == (
-            b"format error: image of 99999x99999 pixels exceeds the limit of 67108864 pixels"
-            + offset + b"\n")
+        assert err.read_bytes() == b"format error: " + message + b"\n"
         assert sent[0] < 16 << 20
         assert not (tmp_path / "out").exists()
 
-    def test_sparse_file_over_the_pixel_ceiling_is_read_no_further_than_its_first_block(
-            self, tmp_path):
-        # the header's extent is about 10 GB
+    def read_sparse_file(self, tmp_path, head):
+        """The error, as `Class: text`, and the traced peak of load_image_file
+        on a 16 GiB sparse file that begins with `head`."""
         cap_memory = self.memory_capped()
-        path = tmp_path / "sparse.pgm"
+        path = tmp_path / "sparse.img"
         with open(path, "wb") as f:
-            f.write(b"P5 99999 99999 255\n")
+            f.write(head)
             f.truncate(16 << 30)
         script = ("import sys, tracemalloc\n"
-                  "from bioshares import PgmError, load_image_file\n"
+                  "from bioshares import load_image_file\n"
                   "tracemalloc.start()\n"
                   "try:\n"
                   "    load_image_file(sys.argv[1])\n"
-                  "except PgmError as exc:\n"
-                  "    print(exc)\n"
+                  "except ValueError as exc:\n"
+                  "    print(f'{type(exc).__name__}: {exc}')\n"
                   "print(tracemalloc.get_traced_memory()[1])\n")
         done = subprocess.run(
             [sys.executable, "-c", script, path], env=self.SRC_ENV, capture_output=True,
             timeout=120, preexec_fn=cap_memory)
         assert done.returncode == 0, done.stderr
         message, peak = done.stdout.decode().splitlines()
-        assert message == ("image of 99999x99999 pixels exceeds the limit of 67108864 pixels"
-                           " (byte offset 3)")
-        assert int(peak) < 1 << 20
+        return message, int(peak)
+
+    def test_sparse_file_over_the_pixel_ceiling_is_read_no_further_than_its_first_block(
+            self, tmp_path):
+        # the header's extent is about 10 GB
+        message, peak = self.read_sparse_file(tmp_path, b"P5 99999 99999 255\n")
+        assert message == ("PgmError: image of 99999x99999 pixels exceeds the limit of"
+                           " 67108864 pixels (byte offset 3)")
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("head, end", [(BMP8_MAX_PALETTE_SIZE_HEAD, 17_179_869_234),
+                                           (BMP24_MAX_PIXEL_OFFSET_HEAD, 4_294_967_295)],
+                             ids=["bmp8-palette-size", "bmp24-pixel-offset"])
+    def test_sparse_bmp_whose_header_ends_past_the_first_block_is_read_no_further(
+            self, tmp_path, head, end):
+        message, peak = self.read_sparse_file(tmp_path, head)
+        assert message == f"BmpError: header of {end} bytes exceeds the limit of 65536 bytes"
+        assert peak < 1 << 20
 
     def test_piped_input_enrolls_as_the_file(self, tmp_path):
         data = save_pgm(textured_image(5, 64, 64))

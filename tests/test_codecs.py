@@ -564,15 +564,30 @@ class TestLoadImageFile:
         assert tailed_peak <= untailed_peak + (4 << 20)
 
     @given(st.sampled_from(list(FILE_ENCODERS)), st.integers(100, 300), st.integers(100, 300),
-           st.binary(max_size=64), st.integers(0, 3 << 16))
-    @settings(max_examples=40, deadline=None)
-    def test_same_outcome_as_decoding_the_whole_file(self, kind, width, height, tail, repeat):
-        # files on both sides of the first block, with and without a tail
+           st.binary(max_size=64), st.integers(0, 3 << 16),
+           st.sampled_from([None, 10, 14, 46]),
+           st.one_of(st.integers(0, 1 << 17), st.integers(0, 2**32 - 1)))
+    @settings(max_examples=60, deadline=None)
+    def test_same_outcome_as_decoding_the_whole_file(self, kind, width, height, tail, repeat,
+                                                      field, value):
+        # files on both sides of the first block, with and without a tail; a
+        # BMP may have its pixel offset (byte 10), header size (14) or palette
+        # size (46) overwritten
         data = FILE_ENCODERS[kind](textured_image(width, width, height)) + tail * repeat
+        if kind.startswith("bmp") and field is not None:
+            data = data[:field] + value.to_bytes(4, "little") + data[field + 4:]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "img")
             path.write_bytes(data)
             assert decode_outcome(load_image_file, path) == decode_outcome(load_image, data)
+
+    def test_p5_header_ending_at_the_first_block_is_read_to_its_pixel_end(self, tmp_path):
+        # the maxval 255 ends at byte 65,536 and the pixels start at 65,537
+        data = b"P5\n#" + b"c" * 65_524 + b"\n2 1 255\n" + bytes([7, 8])
+        assert load_image(data) == GrayImage(2, 1, [7, 8])
+        path = tmp_path / "long.pgm"
+        path.write_bytes(data)
+        assert load_image_file(path) == GrayImage(2, 1, [7, 8])
 
     def test_p2_value_cut_at_the_limit_is_not_read(self, tmp_path):
         # a 1x1 P2 is read up to byte 65,600; its value 123 straddles that limit
