@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .codecs import BmpError, PgmError, load_image_file
+from .codecs import BmpError, PgmError, load_image_file, write_file
 from .datasets import EmptyCorpusError
 from .images import BitTransform
 from .metrics import MetricsReport, format_measure, mean_reports, report_all
@@ -145,4 +145,4 @@ def write_batch_csv(rows: Sequence[BatchRow], path: str | Path) -> None:
             [str(row.index), row.path]
             + [format_measure(getattr(m, name), 6) for name in MetricsReport.FIELDS]
         )
-    Path(path).write_text(out.getvalue(), encoding="utf-8")
+    write_file(path, out.getvalue().encode())

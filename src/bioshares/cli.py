@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .batch import run_batch, write_batch_csv
-from .codecs import BmpError, PgmError, load_image_file, write_pgm_file
+from .codecs import BmpError, PgmError, load_image_file, write_file, write_pgm_file
 from .datasets import DATASET_KINDS, EmptyCorpusError, corpus_paths, in_corpus
 from .images import BitTransform, DimensionMismatchError
 from .manifest import (
@@ -151,43 +151,47 @@ def _say(text: str, file=None) -> None:
     print(text.encode(encoding, "backslashreplace").decode(encoding), file=file)
 
 
+def _file_key(path: Path) -> tuple[int, int] | str:
+    """The file a path names: its device and inode if it exists, else its resolved path."""
+    try:
+        found = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return found.st_dev, found.st_ino
+
+
 def _refuse_overwrite(writes: list[tuple[str, Path | None]], reads: Iterable[Path],
                       corpus: tuple[Path, str] | None = None) -> None:
     """Refuse, before any image is decoded or any file written, a command that
-    would write at a directory or below a path that is not one, over a file it
-    reads, or two of its outputs to one file. `writes` pairs a label with each
-    output path (None: not written). Paths are compared resolved, so `a/../a/x`
-    and a symbolic link to `x` both name `x`. Directory entries are judged, so
-    a link above the output that leads to no directory (dangling or looping)
-    is refused as a file is, and a link at the output must lead into a
-    directory. A loop at the output is left to the command's own open, which
-    reports an I/O error;
-    `os.path.realpath`, unlike `Path.resolve`, leaves a loop in place. A
-    `corpus` (root, kind) also refuses an output that its next walk would take,
-    at the output's own entry or at the file a link there leads to."""
+    would write at a path that is there but is no regular file (a directory or a
+    FIFO), below a path that is not a directory, over a file it reads, or two of
+    its outputs to one file. `writes` pairs a label with each output path (None:
+    not written). Paths are compared by the file they name (`_file_key`), so
+    `a/../a/x`, a symbolic link to `x` and a hard link to `x` all name `x`.
+    Directory entries above an output are judged, so a link there that leads to
+    no directory (dangling or looping) is refused as a file is. An output is
+    renamed into place, so a link at the output itself is replaced, not
+    followed. A `corpus` (root, kind) also refuses an output whose own entry
+    its next walk would take."""
     writes = [(label, path) for label, path in writes if path is not None]
     if not writes:
         return
-    inputs = {os.path.realpath(p) for p in reads}
-    earlier: dict[str, str] = {}
+    inputs = {_file_key(p) for p in reads}
+    earlier: dict[tuple[int, int] | str, str] = {}
     for label, path in writes:
         there = next((p for p in (path, *path.parents) if os.path.lexists(p)), path)
-        if there == path and os.path.isdir(path):
+        if os.path.exists(path) and not os.path.isfile(path):
             raise UsageError(f"the {label} {path} names no file")
         if there != path and not os.path.isdir(there):
             raise UsageError(f"the {label} {path} lies below {there}, which is not a directory")
-        key = os.path.realpath(path)
-        if there == path and os.path.islink(path) and not os.path.isdir(os.path.dirname(key)):
-            raise UsageError(f"the {label} {path} is a link into {os.path.dirname(key)}, "
-                             "which is not a directory")
+        key = _file_key(path)
         if key in inputs:
             raise UsageError(f"the {label} would overwrite the input {path}")
         if key in earlier:
             raise UsageError(f"the {label} would overwrite the {earlier[key]}")
         earlier[key] = f"{label} {path}"
-        lands = (Path(os.path.realpath(path.parent), path.name), Path(key))
-        if corpus and any(in_corpus(Path(os.path.realpath(corpus[0])), p, corpus[1])
-                          for p in lands):
+        entry = Path(os.path.realpath(path.parent), path.name)
+        if corpus and in_corpus(Path(os.path.realpath(corpus[0])), entry, corpus[1]):
             raise UsageError(f"the {label} {path} would become an image of the corpus {corpus[0]}")
 
 
@@ -233,12 +237,6 @@ def _open_store(args):
     return manifest, share_dir, [args.manifest, *(share_dir / n for n in manifest.share_files)]
 
 
-def _write_report(path: Path | None, doc: dict) -> None:
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
 def cmd_authenticate(args) -> int:
     manifest, share_dir, reads = _open_store(args)
     out_dir = args.out or share_dir
@@ -253,7 +251,6 @@ def cmd_authenticate(args) -> int:
     share_set = load_share_set(manifest, share_dir)
     secret, covers = authenticate(share_set)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     for path, img in zip(outputs, (secret, *covers)):
         write_pgm_file(img, path)
     _say(f"digests verified; reconstructed secret and {len(covers)} covers -> {out_dir}")
@@ -290,8 +287,8 @@ def cmd_evaluate(args) -> int:
         "metrics": averaged.to_dict(),
         "per_share": [r.to_dict() for r in reports],
     }
-    _write_report(args.report, doc)
     if args.report is not None:
+        write_file(args.report, (json.dumps(doc, indent=2) + "\n").encode())
         _say(f"report -> {args.report}")
     return EXIT_OK
 
@@ -312,11 +309,11 @@ def cmd_batch(args) -> int:
         master_seed=args.seed,
         transform=args.bit_transform,
     )
-    doc = report.to_dict()
-    print(json.dumps(doc, indent=2))
-    _write_report(args.report, doc)
+    text = json.dumps(report.to_dict(), indent=2)
+    print(text)
+    if args.report is not None:
+        write_file(args.report, (text + "\n").encode())
     if csv_path is not None:
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
         write_batch_csv(rows, csv_path)
         _say(f"per-image rows -> {csv_path}", file=sys.stderr)
     return EXIT_OK

@@ -269,5 +269,22 @@ def load_image_file(path: str | Path) -> GrayImage:
     return load_image(data)
 
 
+def write_file(path: str | Path, data: bytes) -> None:
+    """Write `data` to a new file beside `path` (made with its parent directories)
+    and rename it over `path`: a reader sees the old file or the new one, and a
+    link at `path` is replaced. The temporary `.<16 hex digits>.tmp` goes on any exception."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.parent / f".{os.urandom(8).hex()}.tmp"
+    file = open(temp, "xb")  # O_CREAT | O_EXCL at mode 0o666, less the umask
+    try:
+        with file:
+            file.write(data)
+        os.replace(temp, path)
+    except BaseException:  # an interrupt too
+        os.unlink(temp)
+        raise
+
+
 def write_pgm_file(img: GrayImage, path: str | Path) -> None:
-    Path(path).write_bytes(save_pgm(img))
+    write_file(path, save_pgm(img))

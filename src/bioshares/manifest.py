@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .codecs import MAX_PIXELS, P5_HEADER, load_pgm, read_at_most, write_pgm_file
+from .codecs import MAX_PIXELS, P5_HEADER, load_pgm, read_at_most, write_file, write_pgm_file
 from .images import BitTransform, GrayImage
 from .prng import parse_seed
 from .scheme import Method, SchemeError, SchemeParams, ShareSet
@@ -171,7 +171,7 @@ def _pair(values: tuple) -> tuple:
 
 
 def save_manifest(manifest: EnrollmentManifest, path: str | Path) -> None:
-    Path(path).write_text(manifest.to_json(), encoding="utf-8")
+    write_file(path, manifest.to_json().encode())
 
 
 def load_manifest(path: str | Path) -> EnrollmentManifest:
@@ -191,7 +191,6 @@ def save_enrollment(share_set: ShareSet, user_id: str, out_dir: str | Path) -> P
         dims=share_set.dims,
         content_digests=tuple(pixel_digest(share) for share in share_set.shares),
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, share in zip(manifest.share_files, share_set.shares):
         write_pgm_file(share, out_dir / name)
     manifest_path = out_dir / manifest_name(user_id)

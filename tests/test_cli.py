@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -89,6 +90,16 @@ class TestEnroll:
             share = load_pgm((out / name).read_bytes())
             assert share.dims == img.dims
             assert pixel_digest(share) == digest
+
+    def test_new_files_take_their_mode_from_the_umask(self, tmp_path, original):
+        _, path = original
+        old = os.umask(0o027)
+        try:
+            assert run(["enroll", path, "--out", tmp_path / "out", "--seed", "1"]) == 0
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in (tmp_path / "out").iterdir()}
+        assert len(modes) == 5 and set(modes.values()) == {0o666 & ~0o027}
 
     def test_explicit_seeds_are_reproducible(self, tmp_path, original):
         _, path = original
@@ -690,6 +701,35 @@ class TestAuthenticate:
             assert capsys.readouterr().err.startswith("integrity error: ")
             assert not after.exists()
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_re_enroll_failing_rename_keeps_each_file_whole(self, tmp_path, original, enrolled,
+                                                             monkeypatch, capsys, k):
+        # the k-th rename of a re-enrollment fails: the files renamed before it
+        # hold the new enrollment, every other file is as it was, and no
+        # temporary file is left in the store
+        _, manifest_path, store = enrolled
+        argv = ["enroll", original[1], "--method", "m3", "--shares", "4", "--seed", "8"]
+        assert run([*argv, "--out", tmp_path / "fresh"]) == 0
+        before = file_bytes(store)
+        renamed, real = [], os.replace
+
+        def replace(src, dst):
+            renamed.append(Path(dst).name)
+            if len(renamed) == k:
+                raise OSError("rename failed")
+            real(src, dst)
+
+        monkeypatch.setattr("bioshares.codecs.os.replace", replace)
+        capsys.readouterr()
+        assert run([*argv, "--out", store]) == 3
+        monkeypatch.undo()
+        assert capsys.readouterr().err == "i/o error: rename failed\n"
+        assert len(renamed) == k
+        assert not [p for p in store.iterdir() if p.name.endswith(".tmp")]
+        assert file_bytes(store) == {
+            p: (tmp_path / "fresh" / p.name).read_bytes() if p.name in renamed[:-1] else data
+            for p, data in before.items()}
+
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert run(["authenticate", tmp_path / "absent.json"]) == 3
 
@@ -1043,16 +1083,37 @@ class TestEvaluate:
         assert out == ""
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
-    def test_report_link_loop_is_io_error(self, tmp_path, original, capsys):
+    def test_report_link_loop_is_replaced(self, tmp_path, original, capsys):
+        # the report is renamed into place, so the link is replaced, not followed
         _, path = original
         store = tmp_path / "store"
         assert run(["enroll", path, "--out", store, "--method", "m3", "--seed", "5"]) == 0
         (tmp_path / "a").symlink_to(tmp_path / "b")
         (tmp_path / "b").symlink_to(tmp_path / "a")
+        capsys.readouterr()
         assert run(["evaluate", path, store / "alice_manifest.json",
-                    "--report", tmp_path / "a"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("i/o error: [Errno ") and "Traceback" not in err
+                    "--report", tmp_path / "a"]) == 0
+        assert capsys.readouterr().err == ""
+        assert not (tmp_path / "a").is_symlink() and (tmp_path / "a").is_file()
+        assert json.loads((tmp_path / "a").read_text())["pairs"] == 4
+        assert os.readlink(tmp_path / "b") == str(tmp_path / "a")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("report", ["fifo", "link"])
+    def test_report_at_a_fifo_is_refused(self, tmp_path, original, report):
+        # an open would block and a rename would swap the FIFO out; in a
+        # subprocess, so that a hang fails on the timeout
+        assert run(["enroll", original[1], "--out", tmp_path / "st", "--seed", "5"]) == 0
+        os.mkfifo(tmp_path / "fifo")
+        (tmp_path / "link").symlink_to("fifo")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-m", "bioshares", "evaluate", "alice.pgm",
+                               "st/alice_manifest.json", "--report", report],
+                              cwd=tmp_path, env=env, capture_output=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, b"", f"error: the JSON report {report} names no file\n".encode())
+        assert stat.S_ISFIFO((tmp_path / "fifo").lstat().st_mode)
+        assert os.readlink(tmp_path / "link") == "fifo"
 
     def test_untyped_error_propagates(self, tmp_path, original, monkeypatch):
         # only the documented error types have exit codes; any other
@@ -1224,11 +1285,10 @@ class TestBatch:
 
     @pytest.mark.parametrize("link, target, flags", [
         ("corpus/summary.pgm", "../elsewhere/x.pgm", ["--report", "corpus/summary.pgm"]),
-        ("out/r.pgm", "../corpus/new.pgm", ["--report", "out/r.pgm"]),
-    ], ids=["dangling-link-in-corpus", "link-into-corpus"])
+    ], ids=["dangling-link-in-corpus"])
     def test_output_linked_into_the_walk_is_usage_error(self, tmp_path, corpus, capsys,
                                                          monkeypatch, link, target, flags):
-        # the walk would take the link itself, or the file written through it
+        # the walk would take the link itself
         (tmp_path / "elsewhere").mkdir()
         (tmp_path / "out").mkdir()
         (tmp_path / link).symlink_to(target)
@@ -1242,6 +1302,21 @@ class TestBatch:
         assert (out, read) == ("", [])
         assert file_bytes(tmp_path) == before
         assert not (tmp_path / link).exists()  # still dangling: nothing written through it
+
+    def test_output_link_into_the_walk_is_replaced(self, tmp_path, corpus, capsys,
+                                                   monkeypatch):
+        # the report is renamed over the link, so nothing lands in the corpus
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "r.pgm").symlink_to("../corpus/new.pgm")
+        monkeypatch.chdir(tmp_path)
+        before = file_bytes(corpus)
+        assert run(["batch", "corpus", "--report", "out/r.pgm"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        report = tmp_path / "out" / "r.pgm"
+        assert not report.is_symlink() and report.is_file()
+        assert json.loads(report.read_text())["images"] == 6
+        assert not os.path.lexists(corpus / "new.pgm")
+        assert file_bytes(corpus) == before
 
     @pytest.mark.parametrize("report", [".", "/"])
     def test_report_naming_no_file_is_usage_error(self, tmp_path, corpus, capsys, monkeypatch,
@@ -1335,8 +1410,8 @@ class TestJudgedBeforeAnyWork:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert (sorted(tmp_path.rglob("*")), file_bytes(tmp_path)) == before
 
-    # output paths through symbolic links that lead nowhere a file can be written,
-    # with `dangling -> nowhere`, `loop <-> loop2` and `dl2 -> nowhere/r.json`
+    # output paths below symbolic links that lead nowhere a file can be written,
+    # with `dangling -> nowhere` and `loop <-> loop2`
     LINK_CASES = {
         "enroll-out-dangling": (["enroll", "alice.pgm", "--out", "dangling", "--seed", "1"],
                                 "the enrollment dangling/alice_share_1.pgm lies below dangling, "
@@ -1348,10 +1423,6 @@ class TestJudgedBeforeAnyWork:
                                    "--report", "dangling/r.json"],
                                   "the JSON report dangling/r.json lies below dangling, "
                                   "which is not a directory"),
-        "report-link-into-nowhere": (["evaluate", "alice.pgm", "store/alice_manifest.json",
-                                      "--report", "dl2"],
-                                     "the JSON report dl2 is a link into {tmp}/nowhere, "
-                                     "which is not a directory"),
     }
 
     @pytest.fixture
@@ -1380,10 +1451,49 @@ class TestJudgedBeforeAnyWork:
         assert capsys.readouterr() == ("", f"error: {expected}\n")
         assert (sorted(links.rglob("*")), file_bytes(links)) == before
 
-    def test_report_link_into_a_directory_is_written_through(self, links):
-        assert run(["evaluate", "alice.pgm", "store/alice_manifest.json", "--report", "dl3"]) == 0
-        assert Path("dl3").is_symlink()
-        assert json.loads(Path("r2.json").read_text())["pairs"] == 4
+    @pytest.mark.parametrize("link, target", [("dl2", "nowhere/r.json"), ("dl3", "r2.json")],
+                             ids=["report-link-into-nowhere", "report-link-into-a-directory"])
+    def test_report_link_is_replaced(self, links, link, target):
+        # the report is renamed over the link, so nothing is written where it leads
+        assert run(["evaluate", "alice.pgm", "store/alice_manifest.json", "--report", link]) == 0
+        assert not Path(link).is_symlink() and Path(link).is_file()
+        assert json.loads(Path(link).read_text())["pairs"] == 4
+        assert not os.path.lexists(target) and not Path("nowhere").exists()
+
+
+class TestHardLinkedOutputs:
+    """An output that is a hard link to an input names the input's file, so
+    the command exits 2 before any work and every file stays as it was."""
+
+    CASES = {
+        "enroll-share": ("alice.pgm", "st/alice_share_1.pgm", "enrollment",
+                         ["enroll", "alice.pgm", "--out", "st", "--seed", "1"]),
+        "evaluate-report": ("alice.pgm", "rep.json", "JSON report",
+                            ["evaluate", "alice.pgm", "store/alice_manifest.json",
+                             "--report", "rep.json"]),
+        "batch-report": ("corpus/f0.pgm", "out/r.json", "JSON report",
+                         ["batch", "corpus", "--report", "out/r.json"]),
+        "authenticate-reconstruction": (
+            "store/alice_share_2.pgm", "rec/alice_reconstructed_secret.pgm", "reconstruction",
+            ["authenticate", "store/alice_manifest.json", "--out", "rec"]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_refused_with_every_file_kept(self, tmp_path, original, capsys, monkeypatch, case):
+        source, link, label, argv = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        assert run(["enroll", "alice.pgm", "--out", "store", "--seed", "5"]) == 0
+        for name in ("corpus", "st", "out", "rec"):
+            (tmp_path / name).mkdir()
+        for i in range(3):
+            write_pgm_file(textured_image(20 + i, 8, 8), tmp_path / "corpus" / f"f{i}.pgm")
+        os.link(source, link)
+        before = (sorted(tmp_path.rglob("*")), file_bytes(tmp_path))
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: the {label} would overwrite the input {link}\n")
+        assert (sorted(tmp_path.rglob("*")), file_bytes(tmp_path)) == before
+        assert os.path.samefile(source, link)
 
 
 def test_paths_print_under_a_strict_stdout(tmp_path, original):
@@ -1414,9 +1524,10 @@ def test_paths_print_under_a_strict_stdout(tmp_path, original):
 
 class TestNoCommandWritesOverItsInputs:
     """Each path a command writes is drawn from the command's own inputs and
-    from fresh names, spelled directly or through a `dir/../dir` detour. The
-    command exits 2 exactly when an output resolves to an input or to another
-    output, else 0, and every input byte is unchanged either way."""
+    from fresh names, spelled directly or through a `dir/../dir` detour, and a
+    fresh name may be made a hard link to a drawn input. The command exits 2
+    exactly when an output names the file of an input or of another output,
+    else 0, and every input byte is unchanged either way."""
 
     @pytest.fixture(scope="class")
     def template(self, tmp_path_factory):
@@ -1484,11 +1595,21 @@ class TestNoCommandWritesOverItsInputs:
                 head, _, name = rel.rpartition("/")
                 detour = head and data.draw(st.booleans(), label=f"detour {rel}")
                 spelled[rel] = f"{head}/../{head}/{name}" if detour else rel
+                if rel in writes and not (root / rel).exists() and data.draw(
+                        st.booleans(), label=f"link {rel}"):
+                    (root / rel).parent.mkdir(exist_ok=True)
+                    os.link(root / data.draw(st.sampled_from(reads)), root / rel)
             argv = [str(root / spelled[a]) if a in spelled else a for a in argv]
             argv = [str(root / a) if a in ("corpus", "store", "out", "rec") else a for a in argv]
-            real = {os.path.realpath(root / rel) for rel in reads}
-            clash = any(os.path.realpath(root / w) in real for w in writes) or (
-                len({os.path.realpath(root / w) for w in writes}) < len(writes))
+
+            def file_of(rel):
+                path = root / rel
+                return (path.stat().st_dev, path.stat().st_ino) if path.exists() else (
+                    os.path.realpath(path))
+
+            real = {file_of(rel) for rel in reads}
+            clash = any(file_of(w) in real for w in writes) or (
+                len({file_of(w) for w in writes}) < len(writes))
             before = {rel: (root / rel).read_bytes() for rel in reads}
             assert run(argv) == (2 if clash else 0)
             assert {rel: (root / rel).read_bytes() for rel in reads} == before

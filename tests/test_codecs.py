@@ -19,7 +19,8 @@ from bioshares import (
     textured_image,
     write_pgm_file,
 )
-from bioshares.codecs import read_at_most
+from bioshares import codecs as codecs_module
+from bioshares.codecs import read_at_most, write_file
 
 from helpers import build_bmp_8bit, build_bmp_24bit, gray_images, load_pgm_token_loop, traced
 
@@ -544,6 +545,47 @@ class TestReadAtMost:
             data, peak = traced(read_at_most, f, 1 << 30)
         assert data == b"x" * 20_000
         assert peak < 1 << 20
+
+
+class TestWriteFile:
+    """Every output is written whole to a temporary file and renamed into place."""
+
+    def test_makes_the_parents_and_replaces_a_link(self, tmp_path):
+        (tmp_path / "kept").write_bytes(b"kept")
+        os.link(tmp_path / "kept", tmp_path / "hard")
+        (tmp_path / "soft").symlink_to("kept")
+        for name in ("hard", "soft", "new/deeper/file"):
+            write_file(tmp_path / name, name.encode())
+            assert (tmp_path / name).read_bytes() == name.encode()
+            assert not (tmp_path / name).is_symlink()
+        assert (tmp_path / "kept").read_bytes() == b"kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hard", "kept", "new", "soft"]
+
+    def test_interrupt_mid_write_leaves_the_old_file_and_no_temporary(self, tmp_path,
+                                                                    monkeypatch):
+        target = tmp_path / "out.pgm"
+        target.write_bytes(b"old")
+
+        class HalfWriter:  # writes half the data, then is interrupted
+            def __init__(self, path, mode):
+                self.file = open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, data):
+                self.file.write(data[: len(data) // 2])
+                self.file.flush()
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(codecs_module, "open", HalfWriter, raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            write_file(target, b"new data")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.pgm"]
+        assert target.read_bytes() == b"old"
 
 
 class TestLoadImageFile:
