@@ -135,7 +135,8 @@ def run_batch(
 
 
 def write_batch_csv(rows: Sequence[BatchRow], path: str | Path) -> None:
-    """Fixed-header CSV, one row per image, metrics averaged over its shares."""
+    """Fixed-header CSV, one row per image, metrics averaged over its shares. A
+    path is written as its file name's own bytes, even when they are not UTF-8."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -145,4 +146,4 @@ def write_batch_csv(rows: Sequence[BatchRow], path: str | Path) -> None:
             [str(row.index), row.path]
             + [format_measure(getattr(m, name), 6) for name in MetricsReport.FIELDS]
         )
-    write_file(path, out.getvalue().encode())
+    write_file(path, out.getvalue().encode(errors="surrogateescape"))

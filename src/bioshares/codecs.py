@@ -1,8 +1,8 @@
 """Image codecs: PGM (P2 ASCII and P5 binary, maxval <= 255) and uncompressed
 BMP (8-bit palette or 24-bit BGR). The PGM writer always emits binary P5 with
-maxval 255, so save/load round-trips are bit-exact. A P2 body is read by
-numpy's text parser once comments are blanked and the body is cut at its first
-stray byte; an error's offset is found from the parsed values."""
+maxval 255, so save/load round-trips are bit-exact. A P2 body is read a block
+at a time by numpy's text parser once comments are blanked and the body is cut
+at its first stray byte; an error's offset is found from the parsed values."""
 
 from __future__ import annotations
 
@@ -46,10 +46,11 @@ _COMMENT = re.compile(rb"#[^\n]*")
 _SPACE = re.compile(rb"(?:[%s]|%s)*" % (_WS, _COMMENT.pattern))
 _STRAY = re.compile(rb"[^0-9%s]" % _WS)
 _DIGITS = re.compile(rb"[0-9]+")
-_TEXT = b"0123456789" + _WS
+_NUMERALS = b"0123456789"
+_TEXT = _NUMERALS + _WS
 P5_HEADER = b"P5\n%d %d\n255\n"  # the header save_pgm writes, % (width, height)
 _BMP_HEADER = struct.Struct("<10xIIiixxHI12xI")
-_BLOCK = 1 << 16  # an image file's first read; a pipe is read in blocks of this size
+_BLOCK = 1 << 16  # a header's limit; a P2 body and a pipe are read in blocks of this size
 
 
 # no PGM field needs more significant digits than 2**64 has; a longer token
@@ -99,14 +100,17 @@ def _pgm_header(data: bytes) -> tuple[int, int, int, int]:
     return width, height, maxval, pos
 
 
-def load_pgm(data: bytes) -> GrayImage:
-    """Decode a P2 or P5 PGM with maxval <= 255."""
+def load_pgm(data: bytes, rest=None) -> GrayImage:
+    """Decode a P2 or P5 PGM with maxval <= 255 from `data`, the file or its first
+    bytes; `rest`, the open file, is then read no further than the pixels need."""
     width, height, maxval, pos = _pgm_header(data)
     need = width * height
     if data[1:2] == b"5":
         if not data[pos : pos + 1].isspace():
             raise PgmError("malformed header: missing whitespace after maxval", offset=pos)
         pos += 1
+        if rest is not None:  # a new object, so that no caller's bytearray grows
+            data = data + read_at_most(rest, pos + need - len(data))
         available = len(data) - pos
         if available < need:
             raise PgmError(
@@ -123,37 +127,54 @@ def load_pgm(data: bytes) -> GrayImage:
                     offset=pos + int(over.argmax()),
                 )
         return GrayImage.adopt(width, height, pixels)
-    return GrayImage.adopt(width, height, _p2_values(data, pos, need, maxval))
+    return GrayImage.adopt(width, height, _p2_values(data, pos, need, maxval, rest))
 
 
-def _p2_values(data: bytes, pos: int, need: int, maxval: int) -> np.ndarray:
-    """The first `need` P2 values after byte `pos`, read by numpy's text
-    parser. Comments are blanked to spaces, so offsets hold, and the body
-    ends at the first byte that is neither a digit nor whitespace. On what is
-    left numpy reads exactly the tokens bytes.split() gives, and a token past
-    int64 reads as 2**63 - 1, above every maxval. The first value above
-    maxval is reported at its token's offset before a short count is."""
-    body = bytes(data[pos:])  # numpy parses only a bytes object
-    if b"#" in body:
-        body = _COMMENT.sub(lambda m: b" " * len(m[0]), body)
-    if body.translate(None, _TEXT):
-        body = body[: _STRAY.search(body).start()]
-    # numpy reads a body of whitespace alone as one 0
-    values = np.fromstring(b"" if body.isspace() else body, np.int64, sep=" ")[:need]
-    if len(values) and values.max() > maxval:
-        nth = int((values > maxval).argmax())
-        del values  # free it for the token masks
-        text = np.frombuffer(body, np.uint8)
-        digit = np.zeros(len(text) + 1, bool)
-        np.greater_equal(text, ord("0"), out=digit[1:])  # only digits and whitespace are left
-        start = int(np.flatnonzero(digit[1:] > digit[:-1])[nth])
-        value = _decimal(_DIGITS.match(body, start)[0])
-        shown = value if value < _TOO_LONG else f"of more than {_MAX_DIGITS} digits"
-        raise PgmError(f"pixel value {shown} exceeds maxval {maxval}", offset=pos + start)
-    if len(values) < need:
-        raise PgmError(f"truncated pixel payload: expected {need} values, found {len(values)}",
-                       offset=len(data))
-    return values.astype(np.uint8)
+def _p2_values(data: bytes, pos: int, need: int, maxval: int, rest=None) -> np.ndarray:
+    """The first `need` P2 values after byte `pos` of `data`, then of the open
+    file `rest`, read a block at a time and, counting `data`, to no more than
+    _BLOCK plus 64 bytes a pixel; a value that limit cuts is not read. In each
+    block comments are blanked to spaces, so offsets hold, the body ends at the
+    first byte that is neither a digit nor whitespace, and a value or a comment
+    the block cuts carries into the next. numpy's text parser then reads exactly
+    the tokens bytes.split() gives, and a token past int64 as 2**63 - 1, above
+    every maxval. The first value above maxval is reported at its token's
+    offset, and a short body at the byte where it ended."""
+    out = bytearray()  # grown as values arrive, never to more than the body holds
+    cap, end = _BLOCK + 64 * need, len(data)
+    base, text, eof = pos, bytes(data[pos:]), rest is None  # numpy parses only bytes
+    while True:
+        body = _COMMENT.sub(lambda m: b" " * len(m[0]), text) if b"#" in text else text
+        if stray := bool(body.translate(None, _TEXT)):
+            body = body[: _STRAY.search(body).start()]
+        running = text.rfind(b"#") > text.rfind(b"\n")  # the text ends inside a comment
+        cut = len(body) if stray or eof else len(text) if running else len(body.rstrip(_NUMERALS))
+        chunk = body[:cut]  # after `cut`: a value the block or the limit cuts, or nothing
+        # numpy reads a chunk of whitespace alone as one 0
+        values = np.fromstring(b"" if chunk.isspace() else chunk, np.int64, sep=" ")
+        values = values[: need - len(out)]
+        if len(values) and values.max() > maxval:
+            nth = int((values > maxval).argmax())
+            del values  # free it for the token masks
+            chars = np.frombuffer(chunk, np.uint8)
+            digit = np.zeros(len(chars) + 1, bool)
+            np.greater_equal(chars, ord("0"), out=digit[1:])  # only digits and whitespace are left
+            start = int(np.flatnonzero(digit[1:] > digit[:-1])[nth])
+            value = _decimal(_DIGITS.match(chunk, start)[0])
+            shown = value if value < _TOO_LONG else f"of more than {_MAX_DIGITS} digits"
+            raise PgmError(f"pixel value {shown} exceeds maxval {maxval}", offset=base + start)
+        out += values.astype(np.uint8).data
+        if len(out) == need:
+            return np.frombuffer(out, np.uint8)
+        if stray or eof or end == cap:
+            raise PgmError(f"truncated pixel payload: expected {need} values, found {len(out)}",
+                           offset=base + cut)
+        block = read_at_most(rest, min(_BLOCK, cap - end))
+        end += len(block)
+        carry = b"#" if running else text[cut:]  # the "#" stands for the comment's last byte
+        base, text, eof = base + len(text) - len(carry), carry + block, not block
+        if len(text) - len(text.lstrip(_NUMERALS)) > _BLOCK:  # so the carry is bounded
+            raise PgmError(f"pixel value runs past {_BLOCK} bytes", offset=base)
 
 
 def save_pgm(img: GrayImage) -> bytes:
@@ -194,13 +215,16 @@ def _bmp_header(data: bytes) -> tuple[int, int, int, slice, slice]:
     return width, raw_height, bpp, pixels, palette
 
 
-def load_bmp(data: bytes) -> GrayImage:
+def load_bmp(data: bytes, rest=None) -> GrayImage:
     """Decode an uncompressed BMP (BITMAPINFOHEADER or later, 8 or 24 bpp).
+    `data` and `rest` are as for load_pgm.
 
     24-bit pixels are converted with the integer luma above; 8-bit pixels go
     through the luma of their palette entry.
     """
     width, raw_height, bpp, pixels, palette = _bmp_header(data)
+    if rest is not None:
+        data = data + read_at_most(rest, pixels.stop - len(data))
     if len(data) < pixels.stop:
         raise BmpError("truncated pixel data")
     height = abs(raw_height)
@@ -221,12 +245,12 @@ def load_bmp(data: bytes) -> GrayImage:
     return GrayImage.adopt(width, height, gray.ravel())
 
 
-def load_image(data: bytes) -> GrayImage:
-    """Decode by sniffing the magic: PGM (P2/P5) or BMP."""
+def load_image(data: bytes, rest=None) -> GrayImage:
+    """Decode PGM (P2/P5) or BMP by its magic; `data` and `rest` are as for load_pgm."""
     if data[:2] in (b"P2", b"P5"):
-        return load_pgm(data)
+        return load_pgm(data, rest)
     if data[:2] == b"BM":
-        return load_bmp(data)
+        return load_bmp(data, rest)
     raise PgmError("unrecognised image format (expected PGM or BMP)", offset=0)
 
 
@@ -245,28 +269,11 @@ def read_at_most(file, limit: int) -> bytes:
     return bytes(data)
 
 
-def _extent(head: bytes) -> int:
-    """How far into a file the image that `head`, its first _BLOCK bytes, begins may reach:
-    a BMP's or P5's pixel end, or a P2's first block plus 64 bytes a pixel; 0 if refused."""
-    try:
-        if head[:2] == b"BM":
-            return _bmp_header(head)[3].stop  # the end of the pixel slice
-        width, height, _, pos = _pgm_header(head)
-    except (PgmError, BmpError):  # the decoder reports it from `head`
-        return 0
-    return pos + 1 + width * height if head[1:2] == b"5" else _BLOCK + 64 * width * height
-
-
 def load_image_file(path: str | Path) -> GrayImage:
-    """Decode an image file, reading its first _BLOCK bytes and then no
-    further than _extent."""
+    """Decode an image file: its first _BLOCK + 1 bytes, one past a header's
+    limit so that a maxval cut there shows, go to the decoder with the open file."""
     with open(path, "rb") as f:
-        data = read_at_most(f, _BLOCK)
-        end = _extent(data)
-        data += read_at_most(f, end - len(data))
-    if data[:2] == b"P2" and len(data) == end:  # a value cut at the limit is dropped
-        data = data[: len(data.rstrip(b"0123456789"))]
-    return load_image(data)
+        return load_image(read_at_most(f, _BLOCK + 1), f)
 
 
 def write_file(path: str | Path, data: bytes) -> None:

@@ -283,10 +283,10 @@ def load_pgm_token_loop(data):
     for i in range(need):
         try:
             v, vstart, pos = _read_uint(data, pos, "pixel value")
-        except PgmError:
+        except PgmError as exc:  # reported where the body ended
             raise PgmError(
                 f"truncated pixel payload: expected {need} values, found {i}",
-                offset=len(data),
+                offset=exc.offset,
             ) from None
         if v is None:
             raise PgmError(

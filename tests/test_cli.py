@@ -378,7 +378,7 @@ class TestEnroll:
 
     def test_out_of_memory_is_io_error(self, tmp_path, original, monkeypatch, capsys):
         # an honest image too large for the memory at hand
-        def exhausted(data):
+        def exhausted(*args):
             raise MemoryError
 
         monkeypatch.setattr(codecs_module, "load_pgm", exhausted)
@@ -496,6 +496,14 @@ class TestInputsAreReadAsFarAsTheyReach:
         assert capsys.readouterr().err == f"format error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_p2_value_longer_than_a_block_is_format_error(self, tmp_path, capsys):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P2 2 1 255 7 " + b"0" * 70_000 + b"9\n")
+        assert run(["enroll", path, "--out", tmp_path / "out", "--seed", "7"]) == 5
+        assert capsys.readouterr().err == (
+            "format error: pixel value runs past 65536 bytes (byte offset 13)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_bmp24_header_size_and_palette_size_are_not_read(self, tmp_path):
         # a 24-bit BMP has no palette, so neither field bounds anything
         rgb = np.repeat(textured_image(5, 64, 64).rows()[..., None], 3, axis=2)
@@ -598,6 +606,38 @@ class TestInputsAreReadAsFarAsTheyReach:
         message, peak = self.read_sparse_file(tmp_path, head)
         assert message == f"BmpError: header of {end} bytes exceeds the limit of 65536 bytes"
         assert peak < 1 << 20
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_endless_p2_stream_decodes_under_the_cap(self, tmp_path):
+        # an 8192x8192 P2 of zeros that runs on without end: the body is parsed
+        # a block at a time, so no more than the image is held
+        cap_memory = self.memory_capped()
+        fifo = tmp_path / "image.fifo"
+        os.mkfifo(fifo)
+        script = ("import sys\n"
+                  "from bioshares import load_image_file\n"
+                  "img = load_image_file(sys.argv[1])\n"
+                  "print(img.dims, int(img.data.max()))\n")
+        child = subprocess.Popen([sys.executable, "-c", script, fifo], env=self.SRC_ENV,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 preexec_fn=cap_memory)
+
+        def feed():
+            block = b"0\n" * (1 << 19)
+            try:
+                with open(fifo, "wb", buffering=0) as stream:
+                    stream.write(b"P2 8192 8192 255\n")
+                    while True:
+                        stream.write(block)
+            except BrokenPipeError:  # the reader is gone
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        out, err = child.communicate(timeout=120)
+        assert (child.returncode, out) == (0, b"(8192, 8192) 0\n"), err
+        writer.join(timeout=60)
+        assert not writer.is_alive()
 
     def test_piped_input_enrolls_as_the_file(self, tmp_path):
         data = save_pgm(textured_image(5, 64, 64))
@@ -1212,6 +1252,18 @@ class TestBatch:
         err = capsys.readouterr().err
         assert ("skipping nines.pgm: pixel value of more than 20 digits exceeds maxval 255"
                 " (byte offset 11)\n") in err
+
+    def test_csv_holds_a_file_name_that_is_not_utf8(self, tmp_path):
+        # a name byte that is not UTF-8 reaches Python as a lone surrogate; the
+        # CSV keeps the name's own bytes
+        root = tmp_path / "c"
+        root.mkdir()
+        write_pgm_file(textured_image(1, 16, 16), root / os.fsdecode(b"f\xff.pgm"))
+        write_pgm_file(textured_image(2, 16, 16), root / "g.pgm")
+        report = tmp_path / "r.json"
+        assert run(["batch", root, "--report", report, "--seed", "4"]) == 0
+        rows = report.with_suffix(".csv").read_bytes().splitlines()[1:]
+        assert [row.split(b",")[1] for row in rows] == [b"f\xff.pgm", b"g.pgm"]
 
     def test_share_count_above_max_is_usage_error(self, tmp_path, corpus, capsys):
         report = tmp_path / "report.json"

@@ -1,5 +1,6 @@
 import os
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,12 @@ from bioshares.codecs import read_at_most, write_file
 
 from helpers import build_bmp_8bit, build_bmp_24bit, gray_images, load_pgm_token_loop, traced
 
+BLOCK = 1 << 16
+"""An image header's limit, and the size of the blocks a P2 body is read in."""
+
 P2_BYTES_PER_INPUT_BYTE = 5
 """Budget for the traced peak of a P2 decode or short-count rejection, per
-byte of the file; a 320x240 file measures 3.5 and 3.3."""
+byte of the file; a 320x240 file measures 3.8 and 3.8."""
 
 
 class TestPgmReader:
@@ -48,6 +52,20 @@ class TestPgmReader:
     def test_p2_truncated_payload(self):
         with pytest.raises(PgmError, match="truncated pixel payload"):
             load_pgm(b"P2 2 2 255 0 1 2")
+
+    @pytest.mark.parametrize("data, offset", [
+        (b"P2 2 2 9 1 2 3a 4", 14),  # a stray byte
+        (b"P2 2 2 9 1 2 3 \n\t", 17),  # the end of the input
+        (b"P2 2 2 9 1 2 3 # four", 21),  # a comment that runs to the end
+    ], ids=["stray-byte", "end-of-input", "comment-to-the-end"])
+    def test_short_p2_body_is_reported_where_it_ended(self, tmp_path, data, offset):
+        path = tmp_path / "short.pgm"
+        path.write_bytes(data)
+        for decode, source in ((load_pgm, data), (load_image_file, path)):
+            with pytest.raises(PgmError) as err:
+                decode(source)
+            assert str(err.value) == ("truncated pixel payload: expected 4 values, found 3"
+                                      f" (byte offset {offset})")
 
     def test_p2_pixel_count_bounded_by_payload(self):
         def refuse(data):
@@ -640,3 +658,94 @@ class TestLoadImageFile:
         path.write_bytes(data)
         with pytest.raises(PgmError, match=r"expected 1 values, found 0 \(byte offset 65598\)"):
             load_image_file(path)
+
+    @pytest.mark.parametrize("kind", list(FILE_ENCODERS))
+    def test_header_is_parsed_once(self, tmp_path, monkeypatch, kind):
+        img = textured_image(5, 64, 64)
+        path = tmp_path / "img"
+        path.write_bytes(FILE_ENCODERS[kind](img))
+        parsed = []
+        for name in ("_pgm_header", "_bmp_header"):
+            parse = getattr(codecs_module, name)
+            monkeypatch.setattr(codecs_module, name,
+                                lambda data, parse=parse: parsed.append(data[:2]) or parse(data))
+        assert load_image_file(path) == img
+        assert parsed == [path.read_bytes()[:2]]
+
+    @pytest.mark.parametrize("side", [1024, 2048], ids=["1mp", "4mp"])
+    @pytest.mark.parametrize("kind", ["p2", "p5"])
+    def test_memory_budget(self, tmp_path, kind, side):
+        # 2 B/px: a P5's pixel bytes as read and joined to the head; a P2 body
+        # is parsed a block at a time, so its text (3-4 B/px) is never held whole
+        img = textured_image(3, side, side)
+        path = tmp_path / "img.pgm"
+        path.write_bytes(FILE_ENCODERS[kind](img))
+        got, peak = traced(load_image_file, path)
+        assert got == img
+        assert peak <= 2 * img.pixel_count + (1 << 20)
+
+    def test_p2_is_read_at_most_one_block_past_its_last_value(self, tmp_path):
+        img = textured_image(5, 300, 300)
+        data = _p2_bytes(img)
+        path = tmp_path / "tailed.pgm"
+        path.write_bytes(data + b" 7" * (8 << 20))
+        with open(path, "rb") as f:
+            assert load_pgm(read_at_most(f, BLOCK + 1), f) == img
+            assert f.tell() <= len(data.rstrip()) + BLOCK
+
+    @pytest.mark.parametrize("lead", [b"", b"#" + b"c" * 100_000 + b"\n"],
+                             ids=["starts-in-the-first-block", "starts-in-a-later-block"])
+    def test_p2_value_longer_than_a_block_is_refused_from_a_file(self, tmp_path, lead):
+        # a file's body is parsed a block at a time, so the token a block cuts
+        # is carried, and a carried token is bounded; bytes are one block
+        head = b"P2 64 64 255\n" + lead + b"7 " * 4094
+        img = GrayImage(64, 64, [7] * 4094 + [9, 9])
+        path = tmp_path / "long.pgm"
+        for digits in (BLOCK, BLOCK + 1):
+            data = head + b"0" * (digits - 1) + b"9 9\n"
+            assert load_image(data) == img
+            path.write_bytes(data)
+            if digits == BLOCK:
+                assert load_image_file(path) == img
+                continue
+            with pytest.raises(PgmError) as err:
+                load_image_file(path)
+            assert str(err.value) == f"pixel value runs past 65536 bytes (byte offset {len(head)})"
+
+    @given(long_p2_files(), st.integers(65_000, 65_836), st.one_of(st.just(b""), STRAY))
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome_as_the_token_loop_across_block_edges(self, data, comment, stray):
+        # a comment after the maxval puts the first block's edge (byte 65,537)
+        # inside a token, a comment or a separator, or just before a stray byte
+        width, height, maxval = data.split()[1:4]
+        end = len(b"P2\n%s %s\n%s" % (width, height, maxval))
+        data = data[:end] + b"#" + b"c" * (comment - 2) + b"\n" + data[end:]
+        data = data[: BLOCK + 1] + stray + data[BLOCK + 1 :]
+        cap = BLOCK + 64 * int(width) * int(height)  # a P2 file is read no further
+        within = data if len(data) <= cap else data[:cap].rstrip(b"0123456789")
+        expected = decode_outcome(load_pgm_token_loop, within)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "img.pgm")
+            path.write_bytes(data)
+            assert decode_outcome(load_image_file, path) == expected
+            assert decode_through_a_fifo(data, Path(tmp, "img.fifo")) == expected
+
+
+def decode_through_a_fifo(data, fifo):
+    """decode_outcome of load_image_file on a FIFO that a thread writes `data` to."""
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as stream:
+                stream.write(data)
+        except BrokenPipeError:  # the decoder has stopped reading
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return decode_outcome(load_image_file, fifo)
+    finally:
+        writer.join(timeout=60)
+        assert not writer.is_alive()
