@@ -109,8 +109,8 @@ def load_pgm(data: bytes, rest=None) -> GrayImage:
         if not data[pos : pos + 1].isspace():
             raise PgmError("malformed header: missing whitespace after maxval", offset=pos)
         pos += 1
-        if rest is not None:  # a new object, so that no caller's bytearray grows
-            data = data + read_at_most(rest, pos + need - len(data))
+        if rest is not None:
+            data = read_at_most(rest, pos + need - len(data), data)
         available = len(data) - pos
         if available < need:
             raise PgmError(
@@ -179,7 +179,7 @@ def _p2_values(data: bytes, pos: int, need: int, maxval: int, rest=None) -> np.n
 
 def save_pgm(img: GrayImage) -> bytes:
     """Encode as binary P5 with maxval 255; load_pgm(save_pgm(img)) == img."""
-    return P5_HEADER % img.dims + img.data.tobytes()
+    return b"".join((P5_HEADER % img.dims, img.data))  # one copy of the pixels
 
 
 def _int_luma(bgr: np.ndarray) -> np.ndarray:
@@ -224,7 +224,7 @@ def load_bmp(data: bytes, rest=None) -> GrayImage:
     """
     width, raw_height, bpp, pixels, palette = _bmp_header(data)
     if rest is not None:
-        data = data + read_at_most(rest, pixels.stop - len(data))
+        data = read_at_most(rest, pixels.stop - len(data), data)
     if len(data) < pixels.stop:
         raise BmpError("truncated pixel data")
     height = abs(raw_height)
@@ -254,17 +254,17 @@ def load_image(data: bytes, rest=None) -> GrayImage:
     raise PgmError("unrecognised image format (expected PGM or BMP)", offset=0)
 
 
-def read_at_most(file, limit: int) -> bytes:
-    """Up to `limit` bytes of a path, or of an open binary file from its position.
-    A seekable file is asked for no more than it holds, as read(k) sets aside
-    all k bytes first; a pipe or FIFO is read in blocks."""
-    if not hasattr(file, "read"):
-        with open(file, "rb") as f:
-            return read_at_most(f, limit)
+def read_at_most(file, limit: int, head: bytes = b"") -> bytes:
+    """`head`, the bytes just read from the open binary file `file`, and up to
+    `limit` more of it, as one object. A seekable file is read once, from the
+    start of `head`, and asked for no more than it holds, as read(k) sets aside
+    all k bytes first; a pipe or FIFO is read in blocks appended to `head`."""
     if file.seekable():
-        return file.read(max(0, min(limit, os.fstat(file.fileno()).st_size - file.tell())))
-    data = bytearray()
-    while len(data) < limit and (block := file.read(min(_BLOCK, limit - len(data)))):
+        more = max(0, min(limit, os.fstat(file.fileno()).st_size - file.tell()))
+        file.seek(-len(head), os.SEEK_CUR)
+        return file.read(len(head) + more)
+    data, end = bytearray(head), len(head) + limit
+    while len(data) < end and (block := file.read(min(_BLOCK, end - len(data)))):
         data += block
     return bytes(data)
 

@@ -64,10 +64,6 @@ class GrayImage:
         contiguous 1-D uint8 array is frozen in place, not copied."""
         return cls(width, height, _Owned(data))
 
-    @classmethod
-    def filled(cls, width: int, height: int, value: int) -> "GrayImage":
-        return cls.adopt(width, height, np.full(width * height, value, dtype=np.uint8))
-
     @property
     def dims(self) -> tuple[int, int]:
         return (self.width, self.height)

@@ -175,7 +175,8 @@ def save_manifest(manifest: EnrollmentManifest, path: str | Path) -> None:
 
 
 def load_manifest(path: str | Path) -> EnrollmentManifest:
-    data = read_at_most(path, MAX_MANIFEST_BYTES + 1)
+    with open(path, "rb") as file:
+        data = read_at_most(file, MAX_MANIFEST_BYTES + 1)
     if len(data) > MAX_MANIFEST_BYTES:
         raise ManifestError(f"manifest exceeds the limit of {MAX_MANIFEST_BYTES} bytes")
     return EnrollmentManifest.from_json(data)
@@ -211,7 +212,8 @@ def load_share_set(manifest: EnrollmentManifest, share_dir: str | Path) -> Share
         path = Path(share_dir, rel)
         if not path.is_file():  # judged unopened, so a FIFO here cannot block
             raise IntegrityError(f"missing share file: {rel}")
-        data = read_at_most(path, size + 1)
+        with open(path, "rb") as file:
+            data = read_at_most(file, size + 1)
         if len(data) != size or not data.startswith(header):
             raise IntegrityError(f"share file {rel} is not a valid share: not the P5 file "
                                  "enroll writes at the manifest's dimensions %dx%d" % manifest.dims)

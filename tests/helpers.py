@@ -313,6 +313,11 @@ def random_image(rng, width, height):
     return GrayImage(width, height, rng.integers(0, 256, width * height, dtype=np.uint8))
 
 
+def filled(width, height, value):
+    """An image of one value, built through the public constructor."""
+    return GrayImage(width, height, np.full(width * height, value, dtype=np.uint8))
+
+
 def _info_header(width, height, bpp, compression, clr_used, stride, top_down):
     return struct.pack(
         "<IiiHHIIiiII",

@@ -45,7 +45,7 @@ from bioshares import (
 from bioshares.images import REVERSE8
 from bioshares.prng import seed_sequence
 
-from helpers import random_image
+from helpers import filled, random_image
 
 
 @contextmanager
@@ -124,7 +124,7 @@ def test_metric_ideal_row():
 def test_consistency_of_published_uaci_row():
     with criterion("published-row consistency: UACI from MAE=59.54 equals 23.35 +/- 0.5"):
         # absolute differences summing to 2977 over 50 pixels: MAE 59.54
-        original = GrayImage.filled(50, 1, 0)
+        original = filled(50, 1, 0)
         share = GrayImage(50, 1, [255] * 11 + [172] + [0] * 38)
         assert mae(original, share) == 59.54
         assert abs(uaci(original, share) - 23.35) <= 0.5

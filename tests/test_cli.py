@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bioshares import (
-    GrayImage,
     load_image_file,
     load_manifest,
     load_pgm,
@@ -29,7 +28,7 @@ from bioshares import codecs as codecs_module
 from bioshares import manifest as manifest_module
 from bioshares.cli import main
 
-from helpers import build_bmp_8bit, build_bmp_24bit, random_image, report_from_dict, traced
+from helpers import build_bmp_8bit, build_bmp_24bit, filled, random_image, report_from_dict, traced
 
 
 @pytest.fixture
@@ -154,7 +153,7 @@ class TestEnroll:
         # be judged before the seed count to keep this message
         _, path = original
         cover = tmp_path / "c.pgm"
-        write_pgm_file(GrayImage.filled(4, 4, 1), cover)
+        write_pgm_file(filled(4, 4, 1), cover)
         assert run(["enroll", path, "--out", tmp_path / "out", "--method", "m3",
                     "--cover", cover]) == 2
         assert capsys.readouterr().err == "error: cover sources apply to method m1 only\n"
@@ -171,7 +170,7 @@ class TestEnroll:
     def test_m1_covers_with_seeds_is_usage_error(self, tmp_path, original, capsys):
         _, path = original
         cover = tmp_path / "c.pgm"
-        write_pgm_file(GrayImage.filled(4, 4, 1), cover)
+        write_pgm_file(filled(4, 4, 1), cover)
         assert run(["enroll", path, "--out", tmp_path / "out", "--method", "m1", "--shares", "2",
                     "--cover", cover, "--seeds", "5"]) == 2
         assert "supplied covers or texture seeds, not both" in capsys.readouterr().err
@@ -190,7 +189,7 @@ class TestEnroll:
         covers = []
         for k in range(3):
             covers += ["--cover", tmp_path / f"c{k}.pgm"]
-            write_pgm_file(GrayImage.filled(24, 16, k), tmp_path / f"c{k}.pgm")
+            write_pgm_file(filled(24, 16, k), tmp_path / f"c{k}.pgm")
         assert run(["enroll", path, "--out", tmp_path / "out", "--method", "m1", *covers,
                     "--seed", "9"]) == 2
         assert "supplied covers or texture seeds, not both" in capsys.readouterr().err
@@ -199,7 +198,7 @@ class TestEnroll:
     def test_wrong_cover_count_is_usage_error(self, tmp_path, original):
         _, path = original
         cover = tmp_path / "c.pgm"
-        write_pgm_file(GrayImage.filled(4, 4, 1), cover)
+        write_pgm_file(filled(4, 4, 1), cover)
         assert run(["enroll", path, "--out", tmp_path / "out", "--method", "m1",
                     "--cover", cover, "--cover", cover]) == 2
         assert not (tmp_path / "out").exists()
@@ -211,7 +210,7 @@ class TestEnroll:
     def test_m1_cover_file_error_writes_nothing(self, tmp_path, original, capsys,
                                                 second, code, message):
         _, path = original
-        write_pgm_file(GrayImage.filled(4, 4, 1), tmp_path / "c1.pgm")
+        write_pgm_file(filled(4, 4, 1), tmp_path / "c1.pgm")
         if second is not None:
             (tmp_path / "c2.pgm").write_bytes(second)
         assert run(["enroll", path, "--out", tmp_path / "out", "--method", "m1", "--shares", "3",
@@ -222,7 +221,7 @@ class TestEnroll:
     def test_one_pixel_image_is_format_error(self, tmp_path, capsys):
         # a dimension problem, as batch calls it when it skips the same image
         path = tmp_path / "dot.pgm"
-        write_pgm_file(GrayImage.filled(1, 1, 9), path)
+        write_pgm_file(filled(1, 1, 9), path)
         assert run(["enroll", path, "--out", tmp_path / "out", "--seed", "1"]) == 5
         assert capsys.readouterr().err == "error: original image must have at least 2 pixels\n"
         assert not (tmp_path / "out").exists()
@@ -1174,7 +1173,7 @@ class TestEvaluate:
         store = tmp_path / "store"
         assert run(["enroll", path, "--out", store, "--method", "m3", "--seed", "5"]) == 0
         other = tmp_path / "other.pgm"
-        write_pgm_file(GrayImage.filled(3, 3, 7), other)
+        write_pgm_file(filled(3, 3, 7), other)
         assert run(["evaluate", other, store / "alice_manifest.json"]) == 5
 
 
@@ -1221,7 +1220,7 @@ class TestBatch:
         assert "skipped 1 unreadable/undecodable files\n" in err
 
     def test_degenerate_image_skipped(self, tmp_path, corpus, capsys):
-        write_pgm_file(GrayImage.filled(1, 1, 9), corpus / "one.pgm")
+        write_pgm_file(filled(1, 1, 9), corpus / "one.pgm")
         report = tmp_path / "report.json"
         assert run(["batch", corpus, "--report", report, "--seed", "4"]) == 0
         doc = json.loads(report.read_text())
@@ -1233,7 +1232,7 @@ class TestBatch:
     def test_every_file_skipped_is_io_error(self, tmp_path, capsys):
         root = tmp_path / "bad"
         root.mkdir()
-        write_pgm_file(GrayImage.filled(1, 1, 9), root / "one.pgm")
+        write_pgm_file(filled(1, 1, 9), root / "one.pgm")
         (root / "two.pgm").write_bytes(b"P5\n9 9\n255\nx")
         report = tmp_path / "report.json"
         assert run(["batch", root, "--report", report, "--seed", "4"]) == 3

@@ -1,3 +1,4 @@
+import io
 import os
 import tempfile
 import threading
@@ -23,7 +24,14 @@ from bioshares import (
 from bioshares import codecs as codecs_module
 from bioshares.codecs import read_at_most, write_file
 
-from helpers import build_bmp_8bit, build_bmp_24bit, gray_images, load_pgm_token_loop, traced
+from helpers import (
+    build_bmp_8bit,
+    build_bmp_24bit,
+    filled,
+    gray_images,
+    load_pgm_token_loop,
+    traced,
+)
 
 BLOCK = 1 << 16
 """An image header's limit, and the size of the blocks a P2 body is read in."""
@@ -325,6 +333,13 @@ class TestPgmWriter:
         img = GrayImage(64, 64, rng.integers(0, 256, 4096, dtype=np.uint8))
         assert load_pgm(save_pgm(img)) == img
 
+    def test_memory_budget(self):
+        # the header and the pixels are copied once, into the returned bytes
+        img = textured_image(3, 1024, 1024)
+        data, peak = traced(save_pgm, img)
+        assert data == b"P5\n1024 1024\n255\n" + img.data.tobytes()
+        assert peak <= img.pixel_count + (64 << 10)
+
     def test_file_round_trip(self, tmp_path):
         img = GrayImage(5, 3, np.arange(15, dtype=np.uint8))
         path = tmp_path / "img.pgm"
@@ -355,7 +370,7 @@ class TestBmpReader:
     def test_24bit_equal_channels(self):
         rgb = np.full((2, 2, 3), 77, dtype=np.uint8)
         img = load_bmp(build_bmp_24bit(rgb))
-        assert img == GrayImage.filled(2, 2, 77)
+        assert img == filled(2, 2, 77)
 
     def test_24bit_luma_rounding(self):
         rgb = np.array([[[255, 0, 0], [0, 255, 0], [0, 0, 255]]], dtype=np.uint8)
@@ -542,16 +557,27 @@ FILE_ENCODERS = {
 TAIL_BYTES = 16 << 20
 
 
+class CountingFile(io.FileIO):
+    """An unbuffered file that counts its read calls."""
+
+    reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
+
+
 class TestReadAtMost:
     def test_regular_file_is_asked_for_no_more_than_it_holds(self, tmp_path):
         path = tmp_path / "small"
         path.write_bytes(b"abc")
-        data, peak = traced(read_at_most, path, 1 << 30)
+        with open(path, "rb") as f:
+            data, peak = traced(read_at_most, f, 1 << 30)
         assert data == b"abc"
         assert peak < 64 << 10
-        assert read_at_most(path, 2) == b"ab"
         with open(path, "rb") as f:
-            f.read(1)
+            assert read_at_most(f, 2) == b"ab"
+            f.seek(1)
             assert read_at_most(f, 1 << 30) == b"bc"
 
     def test_pipe_is_read_in_blocks_up_to_the_limit(self):
@@ -563,6 +589,27 @@ class TestReadAtMost:
             data, peak = traced(read_at_most, f, 1 << 30)
         assert data == b"x" * 20_000
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("limit", [-5, 0, 5, 1 << 30])
+    def test_head_and_seekable_file_come_back_as_its_prefix_from_one_read(self, tmp_path, limit):
+        path = tmp_path / "file"
+        path.write_bytes(bytes(range(256)) * 4)
+        with CountingFile(path) as f:
+            head = f.read(100)
+            data = read_at_most(f, limit, head)
+            assert f.reads == 2  # the head's, then one for the head and the rest
+        assert data == path.read_bytes()[: 100 + max(0, limit)]
+
+    def test_head_and_pipe_come_back_as_the_stream(self):
+        stream = bytes(range(256)) * 100
+        r, w = os.pipe()
+        os.write(w, stream)  # within the pipe's buffer, so no writer thread
+        os.close(w)
+        with os.fdopen(r, "rb") as f:
+            head = f.read(1000)
+            assert read_at_most(f, 20_000, head) == stream[:21_000]
+            head = f.read(10)
+            assert read_at_most(f, 1 << 30, head) == stream[21_000:]
 
 
 class TestWriteFile:
@@ -673,16 +720,17 @@ class TestLoadImageFile:
         assert parsed == [path.read_bytes()[:2]]
 
     @pytest.mark.parametrize("side", [1024, 2048], ids=["1mp", "4mp"])
-    @pytest.mark.parametrize("kind", ["p2", "p5"])
-    def test_memory_budget(self, tmp_path, kind, side):
-        # 2 B/px: a P5's pixel bytes as read and joined to the head; a P2 body
-        # is parsed a block at a time, so its text (3-4 B/px) is never held whole
+    @pytest.mark.parametrize("kind, per_pixel", [("p2", 2), ("p5", 1)], ids=["p2", "p5"])
+    def test_memory_budget(self, tmp_path, kind, per_pixel, side):
+        # a P5 file's head and pixels come from one read and are held once; a
+        # P2 body is parsed a block at a time, so its text (3-4 B/px) is never
+        # held whole, but its values grow a bytearray (2 B/px)
         img = textured_image(3, side, side)
         path = tmp_path / "img.pgm"
         path.write_bytes(FILE_ENCODERS[kind](img))
         got, peak = traced(load_image_file, path)
         assert got == img
-        assert peak <= 2 * img.pixel_count + (1 << 20)
+        assert peak <= per_pixel * img.pixel_count + (1 << 20)
 
     def test_p2_is_read_at_most_one_block_past_its_last_value(self, tmp_path):
         img = textured_image(5, 300, 300)

@@ -1,6 +1,8 @@
 import pytest
 
-from bioshares import GrayImage, corpus_paths, write_pgm_file
+from bioshares import corpus_paths, write_pgm_file
+
+from helpers import filled
 
 
 def make_tree(root, layout):
@@ -8,7 +10,7 @@ def make_tree(root, layout):
         path = root / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         if rel.endswith(".pgm"):
-            write_pgm_file(GrayImage.filled(2, 2, 1), path)
+            write_pgm_file(filled(2, 2, 1), path)
         else:
             path.write_bytes(b"placeholder")
 

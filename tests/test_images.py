@@ -23,6 +23,7 @@ from helpers import (
     TRANSFORMS,
     build_bmp_8bit,
     build_bmp_24bit,
+    filled,
     gray_images,
     image_pairs,
     image_triples,
@@ -40,10 +41,6 @@ class TestGrayImage:
     def test_rows_view(self):
         img = GrayImage(3, 2, [1, 2, 3, 4, 5, 6])
         assert img.rows().tolist() == [[1, 2, 3], [4, 5, 6]]
-
-    def test_filled(self):
-        img = GrayImage.filled(4, 3, 9)
-        assert img.data.tolist() == [9] * 12
 
     def test_data_is_read_only(self):
         img = GrayImage(2, 1, [1, 2])
@@ -129,14 +126,13 @@ class TestGrayImage:
         assert bit_transform(img) == GrayImage(2, 2, [160, 96, 224, 16])
         assert resize_nearest(img, 4, 2) == GrayImage(4, 2, [5, 5, 6, 6, 7, 7, 8, 8])
         textured_image(1, 5, 3)
-        assert GrayImage.filled(2, 1, 3) == GrayImage(2, 1, [3, 3])
         assert load_image(b"P2 2 2 255 5 6 7 8") == img
         assert load_image(bytearray(b"P2 2 2 255 5 6 7 8")) == img
         assert load_image(save_pgm(img)) == img
         assert load_image(bytearray(save_pgm(img))) == img
         assert load_image(build_bmp_8bit(img.rows())) == img
         assert load_image(build_bmp_24bit(np.stack([img.rows()] * 3, axis=-1))) == img
-        assert kept == [True] * 14
+        assert kept == [True] * 13
 
     @pytest.mark.parametrize("width, height", [(2.0, 3), (2, 3.0), (True, 6), (2, np.int64(3)),
                                                ("2", 3)])
@@ -175,11 +171,11 @@ class TestGrayImage:
 class TestXor:
     def test_self_inverse(self):
         x = GrayImage(2, 2, [5, 100, 200, 255])
-        assert xor_images(x, x) == GrayImage.filled(2, 2, 0)
+        assert xor_images(x, x) == filled(2, 2, 0)
 
     def test_zero_identity(self):
         x = GrayImage(2, 2, [5, 100, 200, 255])
-        assert xor_images(x, GrayImage.filled(2, 2, 0)) == x
+        assert xor_images(x, filled(2, 2, 0)) == x
 
     def test_known_pixels(self):
         out = xor_images(GrayImage(1, 1, [170]), GrayImage(1, 1, [204]))
@@ -187,7 +183,7 @@ class TestXor:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            xor_images(GrayImage.filled(2, 2, 0), GrayImage.filled(2, 3, 0))
+            xor_images(filled(2, 2, 0), filled(2, 3, 0))
 
     @given(image_pairs())
     def test_commutative(self, pair):

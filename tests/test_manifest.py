@@ -29,7 +29,7 @@ from bioshares import manifest as manifest_module
 from bioshares.codecs import MAX_PIXELS
 from bioshares.cli import main
 
-from helpers import random_image, traced
+from helpers import filled, random_image, traced
 
 
 def build_manifest(**overrides):
@@ -232,7 +232,7 @@ class TestLoadShareSet:
 
     def test_wrong_dimensions(self, enrolled):
         manifest, share_dir, _ = enrolled
-        write_pgm_file(GrayImage.filled(5, 5, 0), share_dir / manifest.share_files[0])
+        write_pgm_file(filled(5, 5, 0), share_dir / manifest.share_files[0])
         with pytest.raises(IntegrityError, match="dimensions"):
             load_share_set(manifest, share_dir)
 

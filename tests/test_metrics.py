@@ -31,6 +31,7 @@ from bioshares import (
 from bioshares import metrics
 
 from helpers import (
+    filled,
     float_correlation,
     float_mae,
     float_mse,
@@ -40,8 +41,8 @@ from helpers import (
     report_from_dict,
 )
 
-ALL_ZERO = GrayImage.filled(4, 4, 0)
-ALL_255 = GrayImage.filled(4, 4, 255)
+ALL_ZERO = filled(4, 4, 0)
+ALL_255 = filled(4, 4, 255)
 
 
 def ramp(w=4, h=4):
@@ -95,7 +96,7 @@ class TestErrors:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            mse(ALL_ZERO, GrayImage.filled(2, 2, 0))
+            mse(ALL_ZERO, filled(2, 2, 0))
 
 
 class TestPsnr:
@@ -146,7 +147,7 @@ class TestPixelChange:
         rng = np.random.default_rng(1)
         x = random_image(rng, 8, 8)
         for c in (1, 64, 255):
-            shifted = xor_images(x, GrayImage.filled(8, 8, c))
+            shifted = xor_images(x, filled(8, 8, c))
             assert npcr(x, shifted) == 100.0
 
     def test_uaci_values(self):
@@ -154,7 +155,7 @@ class TestPixelChange:
         assert uaci(ALL_ZERO, ALL_255) == 100.0
         # absolute differences summing to 2977 over 50 pixels: MAE 59.54
         share = GrayImage(50, 1, [255] * 11 + [172] + [0] * 38)
-        assert uaci(GrayImage.filled(50, 1, 0), share) == pytest.approx(23.349019607843136,
+        assert uaci(filled(50, 1, 0), share) == pytest.approx(23.349019607843136,
                                                                      abs=1e-9)
 
     @given(image_pairs())
@@ -267,7 +268,7 @@ def oracle_pairs(draw):
     elif kind == "same":
         b = GrayImage(w, h, a.data)
     else:
-        const = GrayImage.filled(w, h, draw(st.integers(0, 255)))
+        const = filled(w, h, draw(st.integers(0, 255)))
         a, b = (const, a) if kind == "constant-a" else (a, const)
     return a, b
 
@@ -369,7 +370,7 @@ class TestCentringSlot:
     def test_constant_image_then_ssim_on_the_same_pair(self):
         rng = np.random.default_rng(5)
         x = random_image(rng, 8, 6)
-        for const in (GrayImage.filled(8, 6, 0), GrayImage.filled(8, 6, 200)):
+        for const in (filled(8, 6, 0), filled(8, 6, 200)):
             for a, b in ((x, const), (const, x), (const, const)):
                 with pytest.raises(ConstantImageError):
                     correlation(a, b)
@@ -457,7 +458,7 @@ class TestCentringSlot:
     def test_threads_match_a_serial_run(self):
         rng = np.random.default_rng(9)
         originals = [random_image(rng, 64, 64) for _ in range(3)]
-        const = GrayImage.filled(64, 64, 17)
+        const = filled(64, 64, 17)
         pairs = [(o, random_image(rng, 64, 64)) for o in originals for _ in range(4)]
         pairs += [(originals[0], const), (const, originals[1]), (originals[2], originals[2])]
         serial = [scored(a, b) for a, b in pairs]

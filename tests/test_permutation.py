@@ -12,7 +12,7 @@ from bioshares import (
 )
 from bioshares.permutation import MAX_LENGTH
 
-from helpers import fisher_yates, gray_images, random_image
+from helpers import filled, fisher_yates, gray_images, random_image
 
 
 class TestDerivation:
@@ -108,7 +108,7 @@ class TestApply:
             np.bincount(img.data, minlength=256).tolist()
 
     def test_constant_image_invariant(self):
-        img = GrayImage.filled(8, 8, 42)
+        img = filled(8, 8, 42)
         assert permute_image(img, 5) == img
 
     @given(gray_images())

@@ -23,7 +23,7 @@ from bioshares import (
 )
 from bioshares.prng import seed_sequence
 
-from helpers import TRANSFORM_IDS, TRANSFORMS, random_image
+from helpers import TRANSFORM_IDS, TRANSFORMS, filled, random_image
 
 
 def _rev8(v):
@@ -136,13 +136,13 @@ class TestParams:
 class TestShareSet:
     def test_share_count_enforced(self):
         params = SchemeParams(Method.M1, n=3)
-        imgs = [GrayImage.filled(2, 2, v) for v in (1, 2)]
+        imgs = [filled(2, 2, v) for v in (1, 2)]
         with pytest.raises(ValueError, match="incomplete"):
             ShareSet(tuple(imgs), params)
 
     def test_dims_enforced(self):
         params = SchemeParams(Method.M1, n=2)
-        imgs = (GrayImage.filled(2, 2, 1), GrayImage.filled(2, 3, 2))
+        imgs = (filled(2, 2, 1), filled(2, 3, 2))
         with pytest.raises(ValueError, match="dimensions"):
             ShareSet(imgs, params)
 
@@ -155,7 +155,7 @@ class TestEnrollChain:
         assert [int(s.data[0]) for s in share_set.shares] == [85, 51]
 
     def test_all_zero_inputs_give_all_zero_shares(self):
-        zero = GrayImage.filled(4, 4, 0)
+        zero = filled(4, 4, 0)
         share_set = enroll(zero, [zero, zero], SchemeParams(Method.M1, n=3))
         assert all(s == zero for s in share_set.shares)
 
@@ -188,13 +188,13 @@ class TestEnrollChain:
             assert share_set.shares[i].data.tolist() == rev[prefix].tolist()
 
     def test_cover_count_enforced(self):
-        secret = GrayImage.filled(2, 2, 1)
+        secret = filled(2, 2, 1)
         with pytest.raises(ValueError, match="expected 2 covers"):
             enroll(secret, [secret], SchemeParams(Method.M1, n=3))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            enroll(GrayImage.filled(2, 2, 1), [GrayImage.filled(2, 3, 1)],
+            enroll(filled(2, 2, 1), [filled(2, 3, 1)],
                    SchemeParams(Method.M1, n=2))
 
 
@@ -256,23 +256,23 @@ class TestMakeCovers:
             assert np.bincount(img.data, minlength=256).tolist() == hist
 
     def test_m1_resizes_supplied_covers(self):
-        original = GrayImage.filled(112, 94, 5)
-        covers = [GrayImage.filled(50, 50, v) for v in (1, 2, 3)]
+        original = filled(112, 94, 5)
+        covers = [filled(50, 50, v) for v in (1, 2, 3)]
         params = SchemeParams(Method.M1, n=4, cover_sources=("a.pgm", "b.pgm", "c.pgm"))
         secret, resized = make_covers(original, params, covers)
         assert secret == original
         assert all(c.dims == (112, 94) for c in resized)
-        assert resized[0] == GrayImage.filled(112, 94, 1)
+        assert resized[0] == filled(112, 94, 1)
 
     def test_m1_generates_textures_from_seeds(self):
-        original = GrayImage.filled(8, 8, 5)
+        original = filled(8, 8, 5)
         params = SchemeParams(Method.M1, n=3, seeds=(7, 8))
         _, covers = make_covers(original, params)
         assert covers == [noise_cover(8, 8, 7), noise_cover(8, 8, 8)]
 
     def test_m1_without_covers_or_seeds(self):
         with pytest.raises(ValueError, match="cover images or texture seeds"):
-            make_covers(GrayImage.filled(4, 4, 0), SchemeParams(Method.M1, n=2))
+            make_covers(filled(4, 4, 0), SchemeParams(Method.M1, n=2))
 
     @pytest.mark.parametrize("params", [
         SchemeParams(Method.M1, n=4),
@@ -282,8 +282,8 @@ class TestMakeCovers:
     def test_supplied_covers_must_match_cover_sources(self, params):
         # SchemeParams judges which covers a method takes; a cover it does not
         # name would be enrolled but never recorded in the manifest
-        original = GrayImage.filled(4, 4, 0)
-        covers = [GrayImage.filled(4, 4, v) for v in (1, 2, 3)]
+        original = filled(4, 4, 0)
+        covers = [filled(4, 4, v) for v in (1, 2, 3)]
         with pytest.raises(ValueError, match="3 covers supplied for 0 cover sources"):
             make_covers(original, params, covers)
         with pytest.raises(ValueError, match="3 covers supplied for 0 cover sources"):
